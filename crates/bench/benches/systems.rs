@@ -1,18 +1,13 @@
 //! System-level Criterion benches: world generation, the measurement
-//! crawl, WAL append/replay, and single- vs multi-threaded ingest.
+//! crawl, and WAL append/replay.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use orsp_client::UploadRequest;
-use orsp_crypto::{RsaPublicKey, TokenMint, TokenWallet};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use orsp_measure::{Crawler, ServiceCatalog};
-use orsp_server::{parallel_ingest, replay, ShardedStore, WalEntry, WalWriter};
+use orsp_server::{replay, WalEntry, WalWriter};
 use orsp_types::{
-    DeviceId, EntityId, Interaction, InteractionKind, RecordId, ServiceKind, SimDuration,
-    Timestamp,
+    EntityId, Interaction, InteractionKind, RecordId, ServiceKind, SimDuration, Timestamp,
 };
 use orsp_world::{World, WorldConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn bench_world_generation(c: &mut Criterion) {
     c.bench_function("world_generate_tiny", |b| {
@@ -63,53 +58,5 @@ fn bench_wal(c: &mut Criterion) {
     });
 }
 
-fn make_uploads(n: usize) -> (Vec<UploadRequest>, RsaPublicKey) {
-    let mut rng = StdRng::seed_from_u64(9);
-    let mut mint = TokenMint::new(&mut rng, 256, u32::MAX, SimDuration::DAY);
-    let mut wallet = TokenWallet::new(DeviceId::new(1), mint.public_key().clone());
-    let ups = (0..n)
-        .map(|i| {
-            wallet.request_token(&mut rng, &mut mint, Timestamp::EPOCH).unwrap();
-            UploadRequest {
-                record_id: RecordId::from_bytes({
-                    let mut b = [0u8; 32];
-                    b[..8].copy_from_slice(&(i as u64).to_le_bytes());
-                    b
-                }),
-                entity: EntityId::new((i % 64) as u64),
-                interaction: Interaction::solo(
-                    InteractionKind::Visit,
-                    Timestamp::from_seconds(i as i64 * 500),
-                    SimDuration::minutes(30),
-                    75.0,
-                ),
-                token: wallet.take_token().unwrap(),
-                release_at: Timestamp::EPOCH,
-            }
-        })
-        .collect();
-    (ups, mint.public_key().clone())
-}
-
-fn bench_parallel_ingest(c: &mut Criterion) {
-    let (uploads, key) = make_uploads(512);
-    let mut group = c.benchmark_group("parallel_ingest_512");
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| {
-                let store = ShardedStore::new(16);
-                parallel_ingest(black_box(&uploads), &key, &store, t).accepted
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_world_generation,
-    bench_crawl,
-    bench_wal,
-    bench_parallel_ingest
-);
+criterion_group!(benches, bench_world_generation, bench_crawl, bench_wal);
 criterion_main!(benches);

@@ -5,15 +5,19 @@
 //! require that every device present a valid token when anonymously
 //! uploading information."
 //!
-//! Measures: issue/redeem throughput, rejection of forged and
-//! double-spent tokens, rate-limit enforcement, and the success
-//! probability of the Ru-guessing attack the token scheme bounds.
+//! Measures: issue throughput, admission throughput through the served
+//! ledger (`ShardedIngest`), rejection of forged and double-spent tokens,
+//! rate-limit enforcement, and the success probability of the
+//! Ru-guessing attack the token scheme bounds.
 
 use orsp_bench::{arg_u64, compare, f, header, seed_from_args};
-use orsp_crypto::{
-    derive_record_id, BigUint, DeviceSecret, SpendOutcome, Token, TokenMint, TokenWallet,
+use orsp_client::UploadRequest;
+use orsp_crypto::{derive_record_id, BigUint, DeviceSecret, Token, TokenMint, TokenWallet};
+use orsp_net::ServiceConfig;
+use orsp_server::{IngestOutcome, RejectReason, ShardedIngest};
+use orsp_types::{
+    DeviceId, EntityId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp,
 };
-use orsp_types::{DeviceId, EntityId, SimDuration, Timestamp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -33,38 +37,64 @@ fn main() {
         wallet.request_token(&mut rng, &mut mint, now).unwrap();
     }
     let issue_elapsed = t0.elapsed();
-    let tokens: Vec<Token> = (0..n_tokens).map(|_| wallet.take_token().unwrap()).collect();
+    // One upload per token, each to its own record, admitted through the
+    // served path's engine at its default shard count.
+    let upload = |i: u64, token: Token| UploadRequest {
+        record_id: RecordId::from_bytes({
+            let mut b = [0u8; 32];
+            b[..8].copy_from_slice(&i.to_le_bytes());
+            b
+        }),
+        entity: EntityId::new(i % 64),
+        interaction: Interaction::solo(
+            InteractionKind::Visit,
+            Timestamp::from_seconds(i as i64 * 600),
+            SimDuration::minutes(30),
+            100.0,
+        ),
+        token,
+        release_at: now,
+    };
+    let uploads: Vec<UploadRequest> =
+        (0..n_tokens).map(|i| upload(i, wallet.take_token().unwrap())).collect();
+    let key = mint.public_key().clone();
+    let ingest = ShardedIngest::new(ServiceConfig::default().ingest_shards);
+    let rejected_as = |outcome: IngestOutcome, reason: RejectReason| {
+        matches!(outcome, IngestOutcome::Rejected(r) if r == reason)
+    };
     let t1 = Instant::now();
-    let mut accepted = 0;
-    for t in &tokens {
-        if mint.redeem(t, now) == SpendOutcome::Accepted {
-            accepted += 1;
-        }
-    }
-    let redeem_elapsed = t1.elapsed();
+    let accepted = uploads
+        .iter()
+        .filter(|u| matches!(ingest.ingest(u, &key), IngestOutcome::Accepted))
+        .count();
+    let admit_elapsed = t1.elapsed();
     println!("\nRSA-512 blind tokens (simulation-grade keys):");
     println!(
         "  issue (blind + sign + unblind + verify): {:>8} tokens/s",
         f(n_tokens as f64 / issue_elapsed.as_secs_f64())
     );
     println!(
-        "  redeem (verify + ledger):                {:>8} tokens/s",
-        f(n_tokens as f64 / redeem_elapsed.as_secs_f64())
+        "  admit (verify + ledger + store):         {:>8} uploads/s",
+        f(n_tokens as f64 / admit_elapsed.as_secs_f64())
     );
     assert_eq!(accepted, n_tokens as usize);
 
     // Double spend: every replay is caught.
-    let replays = tokens.iter().filter(|t| mint.redeem(t, now) == SpendOutcome::DoubleSpend).count();
+    let replays = uploads
+        .iter()
+        .filter(|u| rejected_as(ingest.ingest(u, &key), RejectReason::DoubleSpend))
+        .count();
     println!("  double-spend replays rejected:           {replays}/{n_tokens}");
 
     // Forgery: random signatures never verify.
     let mut forged_accepted = 0;
     for i in 0..200u64 {
-        let forged = Token {
+        let token = Token {
             message: [(i % 251) as u8; 32],
-            signature: BigUint::random_below(&mut rng, &mint.public_key().n),
+            signature: BigUint::random_below(&mut rng, &key.n),
         };
-        if mint.redeem(&forged, now) == SpendOutcome::Accepted {
+        let forged = upload(n_tokens + i, token);
+        if !rejected_as(ingest.ingest(&forged, &key), RejectReason::BadToken) {
             forged_accepted += 1;
         }
     }

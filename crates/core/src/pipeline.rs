@@ -15,17 +15,21 @@
 use crate::coverage::{CoverageReport, OpinionCounts};
 use crate::directory::{category_map, directory_entries};
 use orsp_anonet::{AnonymousUpload, BatchMix, LinkageScheme, MixConfig, NetworkObserver};
-use orsp_client::{ClientConfig, EntityMapper, RspClient, SessionizerConfig, VisitSessionizer};
+use orsp_client::{
+    ClientConfig, EntityMapper, RspClient, SessionizerConfig, UploadRequest, VisitSessionizer,
+};
+use orsp_crypto::blind::verify_unblinded;
 use orsp_crypto::{RsaPublicKey, TokenIssuer, TokenMint, TokenWallet};
 use orsp_inference::{
     EvalReport, FeatureVector, GroupedPredictor, LabeledExample, OpinionPredictor, PairContext,
     Prediction, RepeatCountBaseline,
 };
 use orsp_inference::predictor::PredictorConfig;
+use orsp_net::ServiceConfig;
 use orsp_sensors::{render_user_trace, EnergyModel, SamplingPolicy};
 use orsp_server::{
-    deterministic_ingest_logged, AggregatePublisher, CategoryProfile, EntityAggregate,
-    FraudDetector, IngestService, ProfileBuilder, WalSink,
+    AggregatePublisher, CategoryProfile, EntityAggregate, FraudDetector, IngestOutcome,
+    IngestService, ProfileBuilder, ShardedIngest, WalSink,
 };
 use orsp_types::rng::{rng_for, rng_for_indexed};
 use orsp_types::{
@@ -187,9 +191,9 @@ struct ClientOutput {
 }
 
 /// Everything the client and mix stages produce before the server sees a
-/// single upload. The in-process path feeds `deliveries` straight into
-/// `deterministic_ingest`; the served path replays them over a transport
-/// — both then finish with [`RspPipeline::back_half`].
+/// single upload. The in-process path admits `deliveries` straight into
+/// a [`ShardedIngest`]; the served path replays them over a transport to
+/// the same engine — both then finish with [`RspPipeline::back_half`].
 pub(crate) struct FrontHalf {
     pub(crate) observer: NetworkObserver,
     pub(crate) record_owner: HashMap<RecordId, (UserId, EntityId)>,
@@ -228,7 +232,11 @@ impl RspPipeline {
     /// write-only with respect to the pipeline — the outcome (and its
     /// digest) is bit-identical with or without a sink, at any thread
     /// count, which `tests/pipeline_determinism.rs` asserts.
-    pub fn run_logged(&self, world: &World, sink: Option<&dyn WalSink>) -> PipelineOutcome {
+    pub fn run_logged(
+        &self,
+        world: &World,
+        sink: Option<Arc<dyn WalSink>>,
+    ) -> PipelineOutcome {
         let obs = orsp_obs::global();
         let _run_span = obs.span("pipeline_run_us");
         let cfg = &self.config;
@@ -248,10 +256,10 @@ impl RspPipeline {
         // so timing-independent); RSA signing runs outside its lock.
         let shared_mint = Mutex::new(mint);
         let front = self.front_half(world, &mapper, &mint_public, &|| &shared_mint);
-        let mut mint = shared_mint.into_inner().unwrap_or_else(|e| e.into_inner());
+        let mint = shared_mint.into_inner().unwrap_or_else(|e| e.into_inner());
 
-        // ---- Ingest stage: sharded, parallel, order-preserving. ------
-        let ingest = deterministic_ingest_logged(&front.deliveries, &mut mint, threads, sink);
+        // ---- Ingest stage: parallel verify, in-order admission. ------
+        let ingest = admit_deliveries(&front.deliveries, &mint_public, threads, sink);
         self.back_half(world, &mapper, front, ingest, mint.issued_total())
     }
 
@@ -703,6 +711,49 @@ where
     })
     .expect("pipeline worker panicked");
     out
+}
+
+/// The ingest stage. Token signatures are verified in parallel (pure RSA,
+/// order-free); the deliveries are then admitted in delivery order
+/// through the served path's engine, so the spend ledger — the one
+/// order-dependent piece of state (first presentation wins) — sees a
+/// decided order and the outcome is identical at any thread count.
+/// Accepted uploads are logged through `sink` when one is wired; a sink
+/// failure leaves the in-memory outcome unchanged and is counted in
+/// `storage_append_errors_total`.
+fn admit_deliveries(
+    deliveries: &[(Timestamp, UploadRequest)],
+    mint_key: &RsaPublicKey,
+    threads: usize,
+    sink: Option<Arc<dyn WalSink>>,
+) -> IngestService {
+    let obs = orsp_obs::global();
+    let verify_span = obs.span("ingest_verify_us");
+    let valid = map_chunked(deliveries, threads, &|(_, u): &(Timestamp, UploadRequest)| {
+        verify_unblinded(mint_key, &u.token.message, &u.token.signature)
+    });
+    verify_span.end();
+
+    let admit_span = obs.span("ingest_admit_us");
+    let engine = ShardedIngest::new(ServiceConfig::default().ingest_shards);
+    if let Some(sink) = sink {
+        engine.set_wal(sink);
+    }
+    let mut not_durable = 0u64;
+    for ((_, upload), valid) in deliveries.iter().zip(valid) {
+        if let IngestOutcome::AcceptedNotDurable(_) = engine.ingest_verified(upload, valid) {
+            not_durable += 1;
+        }
+    }
+    let (store, stats) = engine.into_merged();
+    admit_span.end();
+
+    if not_durable > 0 {
+        obs.counter("storage_append_errors_total").add(not_durable);
+    }
+    obs.counter("ingest_accepted_total").add(stats.accepted);
+    obs.counter("ingest_rejected_total").add(stats.rejected());
+    IngestService::from_parts(store, stats)
 }
 
 /// Estimate the device's home: the entity-less dwell cluster with the

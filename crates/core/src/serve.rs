@@ -138,8 +138,8 @@ pub struct ServedRun {
 ///
 /// Token issuance goes through the transport (a [`RemoteIssuer`] per
 /// device), and every mixed delivery is replayed as an `Upload` RPC in
-/// delivery order — the order `deterministic_ingest` would have consumed
-/// them, so the server builds the identical store. `mint_public` is the
+/// delivery order — the order the in-process pipeline admits them in,
+/// so the server builds the identical store. `mint_public` is the
 /// service's verifying key, distributed out of band (see
 /// [`RspService::mint_public_key`](orsp_net::RspService::mint_public_key)).
 pub fn run_client_side<T: Transport>(

@@ -15,8 +15,9 @@
 //! * [`blind`] — Chaum blind signatures \[CRYPTO '83\], the primitive the
 //!   paper cites for rate-limit tokens: the RSP signs a *blinded* token so
 //!   that issue and redemption are unlinkable;
-//! * [`token`] — the blind-token protocol: rate-limited issuance,
-//!   verification, and a double-spend ledger;
+//! * [`token`] — the blind-token protocol: rate-limited issuance and
+//!   verification (the double-spend ledger lives with admission, in
+//!   `orsp-server`);
 //! * [`record`] — derivation of [`orsp_types::RecordId`] from the device
 //!   secret `Ru` and an entity id.
 //!
@@ -32,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attest;
 pub mod bigint;
 pub mod blind;
 pub mod hmac;
@@ -42,13 +42,9 @@ pub mod rsa;
 pub mod sha256;
 pub mod token;
 
-pub use attest::{
-    AttestError, AttestationChallenge, AttestationVerifier, Attestor, KeyRegistry, Measurement,
-    Quote,
-};
 pub use bigint::BigUint;
 pub use blind::{BlindSignature, BlindedMessage, BlindingSession};
 pub use record::{derive_record_id, DeviceSecret};
 pub use rsa::{RsaKeyPair, RsaPublicKey};
 pub use sha256::{sha256, Sha256};
-pub use token::{SpendOutcome, Token, TokenIssuer, TokenMint, TokenWallet};
+pub use token::{Token, TokenIssuer, TokenMint, TokenWallet};

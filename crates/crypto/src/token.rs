@@ -3,11 +3,13 @@
 //! Issuance is *authenticated* (the mint knows which device is asking, and
 //! enforces a per-device rate limit — §4.2), but the token the device later
 //! presents is *unlinkable* to the issuance thanks to blinding. Redemption
-//! is anonymous: the server checks only that the signature verifies and the
-//! token has not been spent before.
+//! is anonymous: the server checks only that the signature verifies
+//! ([`crate::blind::verify_unblinded`]) and that the token's
+//! [`Token::ledger_key`] has not been spent before. The spend ledger lives
+//! with admission, in the server.
 
 use crate::bigint::BigUint;
-use crate::blind::{sign_blinded, verify_unblinded, BlindedMessage, BlindingSession};
+use crate::blind::{sign_blinded, BlindedMessage, BlindingSession};
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
 use crate::sha256::sha256;
 use orsp_types::{DeviceId, OrspError, SimDuration, Timestamp};
@@ -33,17 +35,6 @@ impl Token {
     }
 }
 
-/// Outcome of presenting a token to the redemption ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpendOutcome {
-    /// Fresh, valid token — accepted and now marked spent.
-    Accepted,
-    /// Signature did not verify (forged or corrupted).
-    Invalid,
-    /// Valid signature but the token was already spent.
-    DoubleSpend,
-}
-
 /// Anything a wallet can request blind signatures from.
 ///
 /// The two implementations split the issuance path for concurrency: the
@@ -65,7 +56,7 @@ pub trait TokenIssuer {
 }
 
 /// The RSP's token mint: issues blind signatures at a limited rate per
-/// device, and maintains the redemption ledger.
+/// device.
 pub struct TokenMint {
     /// Shared so concurrent issuers can sign outside the mint's lock.
     keypair: Arc<RsaKeyPair>,
@@ -74,8 +65,6 @@ pub struct TokenMint {
     window: SimDuration,
     /// Per-device issuance accounting: (window start, count this window).
     issuance: HashMap<DeviceId, (Timestamp, u32)>,
-    /// Spent-token ledger (digest of message → spend time).
-    spent: HashMap<[u8; 32], Timestamp>,
     issued_total: u64,
 }
 
@@ -92,7 +81,6 @@ impl TokenMint {
             tokens_per_window,
             window,
             issuance: HashMap::new(),
-            spent: HashMap::new(),
             issued_total: 0,
         }
     }
@@ -105,11 +93,6 @@ impl TokenMint {
     /// Total blind signatures issued.
     pub fn issued_total(&self) -> u64 {
         self.issued_total
-    }
-
-    /// Number of tokens spent so far.
-    pub fn spent_total(&self) -> usize {
-        self.spent.len()
     }
 
     /// Account for one issuance to `device` at time `now`: roll the rate
@@ -151,33 +134,6 @@ impl TokenMint {
     ) -> orsp_types::Result<crate::blind::BlindSignature> {
         self.authorize(device, now)?;
         Ok(sign_blinded(&self.keypair, blinded))
-    }
-
-    /// Redeem a token at time `now`: verify the signature, then check and
-    /// update the double-spend ledger.
-    pub fn redeem(&mut self, token: &Token, now: Timestamp) -> SpendOutcome {
-        let valid = verify_unblinded(&self.keypair.public, &token.message, &token.signature);
-        self.redeem_preverified(token, now, valid)
-    }
-
-    /// Ledger half of redemption, for callers that verified the RSA
-    /// signature out-of-band (e.g. a parallel pre-verification pass over
-    /// a whole batch): trusts `signature_valid` instead of re-verifying.
-    pub fn redeem_preverified(
-        &mut self,
-        token: &Token,
-        now: Timestamp,
-        signature_valid: bool,
-    ) -> SpendOutcome {
-        if !signature_valid {
-            return SpendOutcome::Invalid;
-        }
-        let key = token.ledger_key();
-        if self.spent.contains_key(&key) {
-            return SpendOutcome::DoubleSpend;
-        }
-        self.spent.insert(key, now);
-        SpendOutcome::Accepted
     }
 }
 
@@ -282,6 +238,7 @@ impl TokenWallet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blind::verify_unblinded;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -292,32 +249,27 @@ mod tests {
         (mint, wallet, rng)
     }
 
+    /// True iff the mint's signature on `token` verifies.
+    fn verifies(mint: &TokenMint, token: &Token) -> bool {
+        verify_unblinded(mint.public_key(), &token.message, &token.signature)
+    }
+
     #[test]
     fn issue_and_redeem() {
         let (mut mint, mut wallet, mut rng) = setup(1, 10);
         wallet.request_token(&mut rng, &mut mint, Timestamp::EPOCH).unwrap();
         let token = wallet.take_token().unwrap();
-        assert_eq!(mint.redeem(&token, Timestamp::EPOCH), SpendOutcome::Accepted);
-    }
-
-    #[test]
-    fn double_spend_detected() {
-        let (mut mint, mut wallet, mut rng) = setup(2, 10);
-        wallet.request_token(&mut rng, &mut mint, Timestamp::EPOCH).unwrap();
-        let token = wallet.take_token().unwrap();
-        assert_eq!(mint.redeem(&token, Timestamp::EPOCH), SpendOutcome::Accepted);
-        assert_eq!(mint.redeem(&token, Timestamp::EPOCH), SpendOutcome::DoubleSpend);
-        assert_eq!(mint.spent_total(), 1);
+        assert!(verifies(&mint, &token));
     }
 
     #[test]
     fn forged_token_rejected() {
-        let (mut mint, _, mut rng) = setup(3, 10);
+        let (mint, _, mut rng) = setup(3, 10);
         let forged = Token {
             message: [7u8; 32],
             signature: BigUint::random_below(&mut rng, &mint.public_key().n),
         };
-        assert_eq!(mint.redeem(&forged, Timestamp::EPOCH), SpendOutcome::Invalid);
+        assert!(!verifies(&mint, &forged));
     }
 
     #[test]
@@ -356,9 +308,9 @@ mod tests {
     #[test]
     fn shared_mint_issues_across_threads() {
         // Four workers, one device each, issuing against the same mint
-        // through the &Mutex<TokenMint> issuer: every token verifies, the
-        // ledger catches every token exactly once, and the issuance count
-        // is exact regardless of interleaving.
+        // through the &Mutex<TokenMint> issuer: every token verifies, no
+        // two share a ledger key, and the issuance count is exact
+        // regardless of interleaving.
         let mut rng = StdRng::seed_from_u64(8);
         let mint = TokenMint::new(&mut rng, 256, 10, SimDuration::DAY);
         let public = mint.public_key().clone();
@@ -381,13 +333,13 @@ mod tests {
                 .collect();
             handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
         });
-        let mut mint = shared.into_inner().unwrap();
+        let mint = shared.into_inner().unwrap();
         assert_eq!(mint.issued_total(), 20);
         assert_eq!(tokens.len(), 20);
-        for t in &tokens {
-            assert_eq!(mint.redeem(t, Timestamp::EPOCH), SpendOutcome::Accepted);
-        }
-        assert_eq!(mint.spent_total(), 20);
+        assert!(tokens.iter().all(|t| verifies(&mint, t)));
+        let keys: std::collections::HashSet<[u8; 32]> =
+            tokens.iter().map(Token::ledger_key).collect();
+        assert_eq!(keys.len(), 20);
     }
 
     #[test]
@@ -419,28 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn preverified_redeem_matches_redeem() {
-        let (mut mint, mut wallet, mut rng) = setup(10, 10);
-        wallet.request_token(&mut rng, &mut mint, Timestamp::EPOCH).unwrap();
-        let token = wallet.take_token().unwrap();
-        // Trusted verdict path agrees with the verifying path.
-        assert_eq!(
-            mint.redeem_preverified(&token, Timestamp::EPOCH, true),
-            SpendOutcome::Accepted
-        );
-        assert_eq!(
-            mint.redeem_preverified(&token, Timestamp::EPOCH, true),
-            SpendOutcome::DoubleSpend
-        );
-        let forged = Token { message: [3u8; 32], signature: BigUint::from_u64(5) };
-        assert_eq!(
-            mint.redeem_preverified(&forged, Timestamp::EPOCH, false),
-            SpendOutcome::Invalid
-        );
-        assert_eq!(mint.spent_total(), 1, "invalid tokens never touch the ledger");
-    }
-
-    #[test]
     fn tokens_from_different_requests_are_distinct() {
         let (mut mint, mut wallet, mut rng) = setup(7, 10);
         wallet.request_token(&mut rng, &mut mint, Timestamp::EPOCH).unwrap();
@@ -448,7 +378,7 @@ mod tests {
         let a = wallet.take_token().unwrap();
         let b = wallet.take_token().unwrap();
         assert_ne!(a.message, b.message);
-        assert_eq!(mint.redeem(&a, Timestamp::EPOCH), SpendOutcome::Accepted);
-        assert_eq!(mint.redeem(&b, Timestamp::EPOCH), SpendOutcome::Accepted);
+        assert_ne!(a.ledger_key(), b.ledger_key());
+        assert!(verifies(&mint, &a) && verifies(&mint, &b));
     }
 }

@@ -5,6 +5,7 @@
 //! takes the registry lock once, after which the hot path is a handful of
 //! relaxed atomic operations. Nothing here allocates after registration.
 
+use crate::snapshot::HistogramSnapshot;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -156,26 +157,62 @@ impl Histogram {
     /// The `q`-quantile (`0.0 ..= 1.0`) as a bucket upper bound, clamped
     /// to the observed max. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        let counts: Vec<u64> =
-            self.core.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
+        self.load().quantile(q)
+    }
+
+    /// A snapshot whose count, max and p50/p90/p99 all come from one
+    /// read of the buckets and `max`, so it is internally ordered
+    /// (`p50 <= p90 <= p99 <= max`) even while writers record.
+    pub(crate) fn snapshot(&self, name: String) -> HistogramSnapshot {
+        let read = self.load();
+        HistogramSnapshot {
+            name,
+            count: read.total,
+            sum: self.sum(),
+            max: read.max,
+            p50: read.quantile(0.50),
+            p90: read.quantile(0.90),
+            p99: read.quantile(0.99),
         }
-        let target = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (idx, c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return bucket_upper(idx).min(self.max());
-            }
-        }
-        self.max()
+    }
+
+    /// Load every bucket once, then `max` once. `max` is read after the
+    /// buckets, but a writer's bucket increment and max update are not
+    /// ordered, so quantiles are clamped to this same `max` rather than
+    /// trusted to lie below it.
+    fn load(&self) -> BucketRead {
+        let counts = self.buckets();
+        let max = self.max();
+        BucketRead { total: counts.iter().sum(), counts, max }
     }
 
     /// Raw bucket counts (index = `floor(log2(v)) + 1`).
     pub fn buckets(&self) -> [u64; HISTOGRAM_BUCKETS] {
         std::array::from_fn(|i| self.core.buckets[i].load(Ordering::Relaxed))
+    }
+}
+
+/// One read of a histogram's buckets and max.
+struct BucketRead {
+    counts: [u64; HISTOGRAM_BUCKETS],
+    total: u64,
+    max: u64,
+}
+
+impl BucketRead {
+    fn quantile(&self, q: f64) -> u64 {
+        if self.total == 0 {
+            return 0;
+        }
+        let target = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (idx, c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                return bucket_upper(idx).min(self.max);
+            }
+        }
+        self.max
     }
 }
 
@@ -227,6 +264,18 @@ mod tests {
         // p99 lands in [64, 128) → reports 100 (clamped to max).
         assert_eq!(h.quantile(0.99), 100);
         assert_eq!(h.quantile(1.0), 100);
+    }
+
+    #[test]
+    fn snapshot_agrees_with_quantile_when_quiescent() {
+        let h = Histogram::new();
+        for v in 1..=100u64 {
+            h.record(v);
+        }
+        let s = h.snapshot("h".into());
+        assert_eq!((s.count, s.sum, s.max), (100, 5050, 100));
+        assert_eq!((s.p50, s.p90, s.p99), (h.quantile(0.5), h.quantile(0.9), h.quantile(0.99)));
+        assert_eq!(Histogram::new().snapshot("e".into()).p99, 0);
     }
 
     #[test]

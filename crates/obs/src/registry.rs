@@ -10,7 +10,7 @@
 use crate::clock::{Clock, MonotonicClock};
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::ring::{Event, EventRing};
-use crate::snapshot::{EventSnapshot, HistogramSnapshot, StatsSnapshot};
+use crate::snapshot::{EventSnapshot, StatsSnapshot};
 use crate::trace::Tracer;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -172,15 +172,7 @@ impl Registry {
             histograms: m
                 .histograms
                 .iter()
-                .map(|(n, h)| HistogramSnapshot {
-                    name: n.clone(),
-                    count: h.count(),
-                    sum: h.sum(),
-                    max: h.max(),
-                    p50: h.quantile(0.50),
-                    p90: h.quantile(0.90),
-                    p99: h.quantile(0.99),
-                })
+                .map(|(n, h)| h.snapshot(n.clone()))
                 .collect(),
         }
     }

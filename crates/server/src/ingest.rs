@@ -1,18 +1,15 @@
-//! Ingest: admission control for anonymous uploads.
+//! Ingest results: why uploads are rejected, the per-reason counters,
+//! and the admitted state as a plain value.
 //!
 //! Every upload must present a valid, unspent blind token (§4.2) and a
 //! well-formed record; entity re-binding attempts are rejected by the
-//! store. The service counts every rejection by reason so the experiments
-//! can report exactly what the defences caught.
-//!
-//! [`concurrent_ingest`] runs the same admission logic on a worker thread
-//! fed by a crossbeam channel — the shape a production ingest tier would
-//! take, exercised by the throughput benches.
+//! store. [`crate::ShardedIngest`] enforces that rule and counts every
+//! rejection by reason so the experiments can report exactly what the
+//! defences caught. [`IngestService`] is what admission leaves behind —
+//! a store and its counters — as recovered from a log or handed from the
+//! pipeline's ingest stage to analytics.
 
 use crate::store::HistoryStore;
-use orsp_client::UploadRequest;
-use orsp_crypto::{SpendOutcome, TokenMint};
-use orsp_types::Timestamp;
 use serde::{Deserialize, Serialize};
 
 /// Why an upload was rejected.
@@ -48,18 +45,10 @@ impl IngestStats {
     pub fn rejected(&self) -> u64 {
         self.bad_token + self.double_spend + self.bad_record + self.entity_mismatch
     }
-
-    fn count(&mut self, reason: RejectReason) {
-        match reason {
-            RejectReason::BadToken => self.bad_token += 1,
-            RejectReason::DoubleSpend => self.double_spend += 1,
-            RejectReason::BadRecord => self.bad_record += 1,
-            RejectReason::EntityMismatch => self.entity_mismatch += 1,
-        }
-    }
 }
 
-/// The ingest service: token check then store append.
+/// Admitted state: the history store and the counters of the admission
+/// run that built it. It admits nothing itself.
 pub struct IngestService {
     store: HistoryStore,
     stats: IngestStats,
@@ -72,61 +61,16 @@ impl Default for IngestService {
 }
 
 impl IngestService {
-    /// A fresh service with an empty store.
+    /// An empty store with zeroed counters.
     pub fn new() -> Self {
         IngestService { store: HistoryStore::new(), stats: IngestStats::default() }
     }
 
-    /// Assemble a service from an already-populated store and its
-    /// counters — how [`crate::deterministic_ingest`] hands back the
-    /// result of a multi-threaded admission run.
+    /// Assemble from an already-populated store and its counters — how
+    /// recovery and [`crate::ShardedIngest::into_merged`] hand back the
+    /// result of an admission run.
     pub fn from_parts(store: HistoryStore, stats: IngestStats) -> Self {
         IngestService { store, stats }
-    }
-
-    /// Process one upload at time `now`. The mint is consulted for token
-    /// redemption (it owns the spend ledger).
-    pub fn ingest(
-        &mut self,
-        upload: &UploadRequest,
-        mint: &mut TokenMint,
-        now: Timestamp,
-    ) -> Result<(), RejectReason> {
-        match mint.redeem(&upload.token, now) {
-            SpendOutcome::Invalid => {
-                self.stats.count(RejectReason::BadToken);
-                return Err(RejectReason::BadToken);
-            }
-            SpendOutcome::DoubleSpend => {
-                self.stats.count(RejectReason::DoubleSpend);
-                return Err(RejectReason::DoubleSpend);
-            }
-            SpendOutcome::Accepted => {}
-        }
-        match self.store.append(upload.record_id, upload.entity, upload.interaction) {
-            Ok(()) => {
-                self.stats.accepted += 1;
-                Ok(())
-            }
-            Err(orsp_types::OrspError::UploadRejected(_)) => {
-                self.stats.count(RejectReason::EntityMismatch);
-                Err(RejectReason::EntityMismatch)
-            }
-            Err(_) => {
-                self.stats.count(RejectReason::BadRecord);
-                Err(RejectReason::BadRecord)
-            }
-        }
-    }
-
-    /// Ingest a batch (a mix flush) in order.
-    pub fn ingest_batch(
-        &mut self,
-        uploads: &[UploadRequest],
-        mint: &mut TokenMint,
-        now: Timestamp,
-    ) -> usize {
-        uploads.iter().filter(|u| self.ingest(u, mint, now).is_ok()).count()
     }
 
     /// Counters so far.
@@ -151,48 +95,32 @@ impl IngestService {
     }
 }
 
-/// Run admission on a worker thread: uploads stream in over a crossbeam
-/// channel, the populated service comes back when the channel closes.
-///
-/// One worker owns the store and mint outright — no locks on the hot path,
-/// the channel is the synchronization point (the "share memory by
-/// communicating" shape the async guides recommend for state owned by one
-/// task).
-pub fn concurrent_ingest(
-    uploads: Vec<UploadRequest>,
-    mut mint: TokenMint,
-    now: Timestamp,
-) -> (IngestService, TokenMint) {
-    let (tx, rx) = crossbeam::channel::bounded::<UploadRequest>(1024);
-    let worker = std::thread::spawn(move || {
-        let mut service = IngestService::new();
-        for upload in rx.iter() {
-            let _ = service.ingest(&upload, &mut mint, now);
-        }
-        (service, mint)
-    });
-    for u in uploads {
-        tx.send(u).expect("worker alive");
-    }
-    drop(tx);
-    worker.join().expect("ingest worker panicked")
-}
-
 #[cfg(test)]
 mod tests {
+    //! Each rejection reason lands in its own counter, and the admitted
+    //! state survives the hand-off from the engine to this value.
     use super::*;
-    use orsp_crypto::{BigUint, Token, TokenWallet};
+    use crate::{IngestOutcome, ShardedIngest};
+    use orsp_client::UploadRequest;
+    use orsp_crypto::{BigUint, RsaPublicKey, Token, TokenMint, TokenWallet};
     use orsp_types::{
-        DeviceId, EntityId, Interaction, InteractionKind, RecordId, SimDuration,
+        DeviceId, EntityId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp,
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn setup() -> (TokenMint, TokenWallet, StdRng) {
+    /// A mint key and `n` fresh tokens for it.
+    fn tokens(n: usize) -> (RsaPublicKey, Vec<Token>) {
         let mut rng = StdRng::seed_from_u64(5);
-        let mint = TokenMint::new(&mut rng, 256, 1_000, SimDuration::DAY);
-        let wallet = TokenWallet::new(DeviceId::new(1), mint.public_key().clone());
-        (mint, wallet, rng)
+        let mut mint = TokenMint::new(&mut rng, 256, 1_000, SimDuration::DAY);
+        let mut wallet = TokenWallet::new(DeviceId::new(1), mint.public_key().clone());
+        let tokens = (0..n)
+            .map(|_| {
+                wallet.request_token(&mut rng, &mut mint, Timestamp::EPOCH).unwrap();
+                wallet.take_token().unwrap()
+            })
+            .collect();
+        (mint.public_key().clone(), tokens)
     }
 
     fn upload(token: Token, record: u8, entity: u64, t: i64) -> UploadRequest {
@@ -210,96 +138,67 @@ mod tests {
         }
     }
 
-    fn fresh_token(
-        wallet: &mut TokenWallet,
-        mint: &mut TokenMint,
-        rng: &mut StdRng,
-    ) -> Token {
-        wallet.request_token(rng, mint, Timestamp::EPOCH).unwrap();
-        wallet.take_token().unwrap()
+    /// Admit `uploads` in order; return each verdict and the admitted state.
+    fn admit(
+        key: &RsaPublicKey,
+        uploads: &[UploadRequest],
+    ) -> (Vec<Option<RejectReason>>, IngestService) {
+        let engine = ShardedIngest::new(4);
+        let verdicts = uploads
+            .iter()
+            .map(|u| match engine.ingest(u, key) {
+                IngestOutcome::Rejected(reason) => Some(reason),
+                _ => None,
+            })
+            .collect();
+        let (store, stats) = engine.into_merged();
+        (verdicts, IngestService::from_parts(store, stats))
     }
 
     #[test]
     fn valid_upload_accepted() {
-        let (mut mint, mut wallet, mut rng) = setup();
-        let mut svc = IngestService::new();
-        let t = fresh_token(&mut wallet, &mut mint, &mut rng);
-        assert!(svc.ingest(&upload(t, 1, 5, 0), &mut mint, Timestamp::EPOCH).is_ok());
+        let (key, t) = tokens(1);
+        let (verdicts, svc) = admit(&key, &[upload(t[0].clone(), 1, 5, 0)]);
+        assert_eq!(verdicts, vec![None]);
         assert_eq!(svc.stats().accepted, 1);
         assert_eq!(svc.store().len(), 1);
     }
 
     #[test]
     fn forged_token_rejected() {
-        let (mut mint, _, _) = setup();
-        let mut svc = IngestService::new();
+        let (key, _) = tokens(0);
         let forged = Token { message: [9u8; 32], signature: BigUint::from_u64(42) };
-        let err = svc.ingest(&upload(forged, 1, 5, 0), &mut mint, Timestamp::EPOCH);
-        assert_eq!(err, Err(RejectReason::BadToken));
+        let (verdicts, svc) = admit(&key, &[upload(forged, 1, 5, 0)]);
+        assert_eq!(verdicts, vec![Some(RejectReason::BadToken)]);
         assert_eq!(svc.stats().bad_token, 1);
         assert!(svc.store().is_empty());
     }
 
     #[test]
     fn double_spend_rejected() {
-        let (mut mint, mut wallet, mut rng) = setup();
-        let mut svc = IngestService::new();
-        let t = fresh_token(&mut wallet, &mut mint, &mut rng);
-        assert!(svc.ingest(&upload(t.clone(), 1, 5, 0), &mut mint, Timestamp::EPOCH).is_ok());
-        let err = svc.ingest(&upload(t, 2, 5, 100), &mut mint, Timestamp::EPOCH);
-        assert_eq!(err, Err(RejectReason::DoubleSpend));
+        let (key, t) = tokens(1);
+        let (verdicts, svc) =
+            admit(&key, &[upload(t[0].clone(), 1, 5, 0), upload(t[0].clone(), 2, 5, 100)]);
+        assert_eq!(verdicts, vec![None, Some(RejectReason::DoubleSpend)]);
         assert_eq!(svc.stats().double_spend, 1);
     }
 
     #[test]
     fn entity_mismatch_rejected() {
-        let (mut mint, mut wallet, mut rng) = setup();
-        let mut svc = IngestService::new();
-        let t1 = fresh_token(&mut wallet, &mut mint, &mut rng);
-        let t2 = fresh_token(&mut wallet, &mut mint, &mut rng);
-        assert!(svc.ingest(&upload(t1, 1, 5, 0), &mut mint, Timestamp::EPOCH).is_ok());
-        let err = svc.ingest(&upload(t2, 1, 6, 100), &mut mint, Timestamp::EPOCH);
-        assert_eq!(err, Err(RejectReason::EntityMismatch));
+        let (key, t) = tokens(2);
+        let (verdicts, svc) =
+            admit(&key, &[upload(t[0].clone(), 1, 5, 0), upload(t[1].clone(), 1, 6, 100)]);
+        assert_eq!(verdicts, vec![None, Some(RejectReason::EntityMismatch)]);
         assert_eq!(svc.stats().entity_mismatch, 1);
     }
 
     #[test]
     fn out_of_order_record_rejected() {
-        let (mut mint, mut wallet, mut rng) = setup();
-        let mut svc = IngestService::new();
-        let t1 = fresh_token(&mut wallet, &mut mint, &mut rng);
-        let t2 = fresh_token(&mut wallet, &mut mint, &mut rng);
-        assert!(svc.ingest(&upload(t1, 1, 5, 1_000), &mut mint, Timestamp::EPOCH).is_ok());
-        let err = svc.ingest(&upload(t2, 1, 5, 10), &mut mint, Timestamp::EPOCH);
-        assert_eq!(err, Err(RejectReason::BadRecord));
+        let (key, t) = tokens(2);
+        let (verdicts, svc) =
+            admit(&key, &[upload(t[0].clone(), 1, 5, 1_000), upload(t[1].clone(), 1, 5, 10)]);
+        assert_eq!(verdicts, vec![None, Some(RejectReason::BadRecord)]);
         assert_eq!(svc.stats().bad_record, 1);
         assert_eq!(svc.stats().rejected(), 1);
-    }
-
-    #[test]
-    fn batch_ingest_counts_accepted() {
-        let (mut mint, mut wallet, mut rng) = setup();
-        let mut svc = IngestService::new();
-        let batch: Vec<UploadRequest> = (0..5)
-            .map(|i| {
-                let t = fresh_token(&mut wallet, &mut mint, &mut rng);
-                upload(t, i as u8, i, i as i64 * 10)
-            })
-            .collect();
-        assert_eq!(svc.ingest_batch(&batch, &mut mint, Timestamp::EPOCH), 5);
-    }
-
-    #[test]
-    fn concurrent_ingest_matches_serial() {
-        let (mut mint, mut wallet, mut rng) = setup();
-        let uploads: Vec<UploadRequest> = (0..40)
-            .map(|i| {
-                let t = fresh_token(&mut wallet, &mut mint, &mut rng);
-                upload(t, i as u8, i % 7, i as i64 * 50)
-            })
-            .collect();
-        let (svc, _mint) = concurrent_ingest(uploads, mint, Timestamp::EPOCH);
-        assert_eq!(svc.stats().accepted, 40);
-        assert_eq!(svc.store().total_interactions(), 40);
     }
 }

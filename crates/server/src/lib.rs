@@ -8,9 +8,12 @@
 //!   retrieve-by-record-id in the client-facing API** — "the RSP's service
 //!   only need support requests to update histories but not to retrieve
 //!   them" — which is what makes a leaked `Ru` useless to a thief.
-//! * [`ingest`] — admission control: blind-token redemption (rate
-//!   limiting + double-spend), record validation, entity-binding checks;
-//!   plus a concurrent ingest pipeline (crossbeam) for throughput benches.
+//! * [`sharded_ingest`] — admission control, the one engine both the
+//!   served path and the in-process pipeline use: blind-token
+//!   verification, the double-spend ledger, record validation,
+//!   entity-binding checks, and group-committed durable logging.
+//! * [`ingest`] — the admitted state as a plain value (store + counters)
+//!   and the rejection reasons.
 //! * [`profile`] — the *typical user* model of §4.3: quantile profiles of
 //!   inter-interaction gaps, durations, and interaction counts, built by
 //!   merging all stored histories per category.
@@ -26,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregates;
-pub mod attest_gate;
 pub mod fraud;
 pub mod ingest;
 pub mod lockorder;
@@ -37,18 +39,14 @@ pub mod store;
 pub mod wal;
 
 pub use aggregates::{AggregateParts, AggregatePublisher, EntityAggregate, MIN_AGGREGATE_SUPPORT};
-pub use attest_gate::{AttestationGate, GateOutcome};
 pub use fraud::{FraudDetector, FraudVerdict};
 pub use ingest::{IngestService, IngestStats, RejectReason};
 pub use profile::{CategoryProfile, HistoryStats, ProfileBuilder, Quantiles};
-pub use sharded::{
-    deterministic_ingest, deterministic_ingest_logged, parallel_ingest, shard_index,
-    ParallelStats, ShardedStore,
-};
+pub use sharded::shard_index;
 pub use sharded_ingest::{GroupCommitConfig, IngestOutcome, ShardedIngest};
 pub use store::{HistoryStore, StoredHistory};
 pub use wal::{
-    crc32, encode_batch_item, encode_record, encode_token_spend, rebuild_store, replay,
+    crc32, encode_batch_item, encode_record, encode_token_spend, replay,
     wal_header, Replay, WalBatchItem, WalEntry, WalFault, WalSink, WalWriter,
     WAL_HEADER_LEN, WAL_RECORD_LEN, WAL_TOKEN_RECORD_LEN,
 };

@@ -1,10 +1,12 @@
-//! The service-facing ingest domain: admission control sharded for
-//! concurrent RPC traffic.
+//! The admission engine: every upload — served over RPC or replayed by
+//! the in-process pipeline — is admitted here, sharded for concurrent
+//! traffic.
 //!
-//! [`crate::IngestService`] is the single-threaded admission engine the
-//! in-process pipeline uses; this module is the same admission logic
-//! re-partitioned so a multi-worker server can run it without a global
-//! lock. Three independently synchronized pieces:
+//! The rule (§4.2) is that an upload is stored only if it carries a
+//! validly signed token nobody has spent. This module is the only place
+//! that rule and the spend ledger live, partitioned so a multi-worker
+//! server can run it without a global lock. Three independently
+//! synchronized pieces:
 //!
 //! * **Spend ledger**, sharded by `shard_index(token.ledger_key())` — the
 //!   double-spend check must be global per *token*, and the ledger key is
@@ -28,9 +30,10 @@
 //!   queue behind a disk flush.
 //!
 //! Counters are atomics: every stat is an order-independent sum, which is
-//! one of the two facts that keep a sharded run bit-identical to the
-//! sequential reference (the other: admission decisions only ever depend
-//! on single-token or single-record state, never on cross-shard state).
+//! one of the two facts that keep a sharded run bit-identical to a
+//! sequential one at any shard count (the other: admission decisions only
+//! ever depend on single-token or single-record state, never on
+//! cross-shard state). The tests check this against a sequential oracle.
 
 use crate::ingest::{IngestService, IngestStats, RejectReason};
 use crate::lockorder::{self, rank};
@@ -76,8 +79,7 @@ pub enum IngestOutcome {
     /// client must not retry (the token is spent, the record applied).
     AcceptedNotDurable(OrspError),
     /// Refused; nothing was applied. (The token *is* consumed for store
-    /// rejections — same semantics as the sequential path, where
-    /// redemption precedes the append.)
+    /// rejections: the spend precedes the append.)
     Rejected(RejectReason),
 }
 
@@ -292,7 +294,7 @@ impl ShardedIngest {
             }
         }
         // From here the token stays spent even if the store refuses the
-        // record — identical to the sequential redeem-then-append path.
+        // record.
 
         let shard = &self.shards[self.shard_of(&upload.record_id)];
         let rank_store = lockorder::enter(rank::STORE_SHARD);
@@ -566,8 +568,9 @@ impl ShardedIngest {
         self.seed_spent_tokens(spent_tokens);
     }
 
-    /// Collapse back into the single-threaded service (drain/checkpoint
-    /// path). Consumes the domain, so no locks are contended.
+    /// Collapse into one store and its counters (the drain/checkpoint
+    /// path, and the in-process pipeline's hand-off to analytics).
+    /// Consumes the domain, so no locks are contended.
     pub fn into_merged(self) -> (HistoryStore, IngestStats) {
         let stats = self.stats.snapshot();
         let mut merged = HistoryStore::new();
@@ -831,6 +834,132 @@ mod tests {
         // Ledger-only work leaves the store locks alone.
         let _ = ingest.spent_tokens();
         assert_eq!(ingest.store_lock_acquisitions(), after_ingest);
+    }
+
+    #[test]
+    fn double_spends_caught_across_threads() {
+        let (mut ups, key) = minted_uploads(20, 2);
+        // Duplicate every upload: each replay must be caught exactly
+        // once, whichever thread presents the token first.
+        ups.extend(ups.clone());
+        let ingest = ShardedIngest::new(8);
+        std::thread::scope(|s| {
+            for chunk in ups.chunks(10) {
+                let (ingest, key) = (&ingest, &key);
+                s.spawn(move || {
+                    for u in chunk {
+                        ingest.ingest(u, key);
+                    }
+                });
+            }
+        });
+        let stats = ingest.stats();
+        assert_eq!(stats.accepted, 20);
+        assert_eq!(stats.double_spend, 20);
+        assert_eq!(ingest.spent_tokens().len(), 20);
+    }
+
+    #[test]
+    fn invalid_tokens_never_touch_the_ledger() {
+        let (ups, key) = minted_uploads(2, 12);
+        let ingest = ShardedIngest::new(4);
+        assert!(matches!(ingest.ingest(&ups[0], &key), IngestOutcome::Accepted));
+        let spent = ingest.spent_tokens();
+        // A forgery carrying a real, unspent token's message is refused
+        // before the ledger, so the genuine token still spends afterwards.
+        let mut forged = ups[1].clone();
+        forged.token.signature = orsp_crypto::BigUint::from_u64(5);
+        assert!(matches!(
+            ingest.ingest(&forged, &key),
+            IngestOutcome::Rejected(RejectReason::BadToken)
+        ));
+        assert_eq!(ingest.spent_tokens(), spent, "a bad token changed the ledger");
+        assert!(matches!(ingest.ingest(&ups[1], &key), IngestOutcome::Accepted));
+    }
+
+    /// Tokens for the oracle property, minted once: minting dominates the
+    /// cost of a case and the property only needs their order to vary.
+    fn token_pool() -> &'static (RsaPublicKey, Vec<orsp_crypto::Token>) {
+        static POOL: std::sync::OnceLock<(RsaPublicKey, Vec<orsp_crypto::Token>)> =
+            std::sync::OnceLock::new();
+        POOL.get_or_init(|| {
+            let (ups, key) = minted_uploads(24, 31);
+            (key, ups.into_iter().map(|u| u.token).collect())
+        })
+    }
+
+    /// The sequential reference: a plain spent-token set and one
+    /// [`HistoryStore`], applied in delivery order.
+    fn oracle(
+        uploads: &[UploadRequest],
+        key: &RsaPublicKey,
+    ) -> (IngestStats, HistoryStore, HashSet<[u8; 32]>) {
+        let mut stats = IngestStats::default();
+        let mut store = HistoryStore::new();
+        let mut spent = HashSet::new();
+        for u in uploads {
+            if !verify_unblinded(key, &u.token.message, &u.token.signature) {
+                stats.bad_token += 1;
+            } else if !spent.insert(u.token.ledger_key()) {
+                stats.double_spend += 1;
+            } else {
+                match store.append(u.record_id, u.entity, u.interaction) {
+                    Ok(()) => stats.accepted += 1,
+                    Err(OrspError::UploadRejected(_)) => stats.entity_mismatch += 1,
+                    Err(_) => stats.bad_record += 1,
+                }
+            }
+        }
+        (stats, store, spent)
+    }
+
+    proptest::proptest! {
+        /// Over random delivery orders mixing fresh tokens, replays,
+        /// forgeries, entity re-binds and out-of-order records, the
+        /// engine at 1, 3 and 8 shards ends in the oracle's state:
+        /// counters, every record's history, and the spent set.
+        #[test]
+        fn sharded_ingest_matches_sequential_oracle(
+            ops in proptest::collection::vec((0usize..120, 0u8..6, 0u64..3, 0i64..40), 1..60),
+        ) {
+            let (key, pool) = token_pool();
+            let uploads: Vec<UploadRequest> = ops
+                .iter()
+                .map(|&(pick, rec, entity, t)| {
+                    // One pick in five forges the chosen token's signature.
+                    let mut token = pool[pick / 5].clone();
+                    if pick % 5 == 0 {
+                        token.signature = orsp_crypto::BigUint::from_u64(t as u64 + 2);
+                    }
+                    UploadRequest {
+                        record_id: RecordId::from_bytes([rec; 32]),
+                        entity: EntityId::new(entity),
+                        interaction: Interaction::solo(
+                            InteractionKind::Visit,
+                            Timestamp::from_seconds(t * 1_000),
+                            SimDuration::minutes(10),
+                            50.0,
+                        ),
+                        token,
+                        release_at: Timestamp::EPOCH,
+                    }
+                })
+                .collect();
+            let (want_stats, want_store, want_spent) = oracle(&uploads, key);
+            for shards in [1, 3, 8] {
+                let ingest = ShardedIngest::new(shards);
+                for u in &uploads {
+                    ingest.ingest(u, key);
+                }
+                proptest::prop_assert_eq!(ingest.spent_tokens(), want_spent.clone());
+                let (store, stats) = ingest.into_merged();
+                proptest::prop_assert_eq!(stats, want_stats);
+                proptest::prop_assert_eq!(store.len(), want_store.len());
+                for (rid, want) in want_store.iter() {
+                    proptest::prop_assert_eq!(store.get(rid), Some(want));
+                }
+            }
+        }
     }
 
     #[test]

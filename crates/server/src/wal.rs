@@ -498,17 +498,6 @@ pub fn replay(data: &[u8]) -> orsp_types::Result<Replay> {
     Ok(Replay { entries, spent_tokens, fault })
 }
 
-/// Rebuild a [`crate::HistoryStore`] from a replayed WAL.
-pub fn rebuild_store(replayed: &Replay) -> crate::HistoryStore {
-    let mut store = crate::HistoryStore::new();
-    for e in &replayed.entries {
-        // Replay is idempotent over what the store accepted before; any
-        // entry it rejects now was rejected then too.
-        let _ = store.append(e.record_id, e.entity, e.interaction);
-    }
-    store
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,21 +729,6 @@ mod tests {
         bytes.extend_from_slice(&frame(&payload));
         let r = replay(&bytes).unwrap();
         assert!(matches!(r.fault, Some(WalFault::BadTag { .. })));
-    }
-
-    #[test]
-    fn rebuild_matches_original_store() {
-        let mut store = crate::HistoryStore::new();
-        let mut w = WalWriter::new();
-        for i in 0..20u8 {
-            let e = entry(i % 5, i as i64 * 10_000);
-            if store.append(e.record_id, e.entity, e.interaction).is_ok() {
-                w.append(&e);
-            }
-        }
-        let rebuilt = rebuild_store(&replay(&w.finish()).unwrap());
-        assert_eq!(rebuilt.len(), store.len());
-        assert_eq!(rebuilt.total_interactions(), store.total_interactions());
     }
 
     proptest! {

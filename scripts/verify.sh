@@ -10,6 +10,9 @@ RUSTFLAGS="-D warnings" cargo build --workspace --release
 echo "== cargo test -q =="
 cargo test -q --workspace
 
+echo "== benchmark package builds and passes its tests (rspbench/ is its own workspace, outside --workspace) =="
+cargo test -q --release --offline --manifest-path rspbench/Cargo.toml
+
 echo "== obs test suites (registry unit tests, N-thread hammer) =="
 cargo test -q --release -p orsp-obs
 cargo test -q --release -p orsp-obs --test concurrency

@@ -7,7 +7,8 @@
 //! stream as the in-process mint, (2) BigUints survive the wire losslessly
 //! (`to_bytes_be`/`from_bytes_be`), (3) rate limiting is per-device so
 //! cross-device interleaving is immaterial, and (4) deliveries replay in
-//! the exact order `deterministic_ingest` consumes them.
+//! the exact order the in-process pipeline admits them, into the same
+//! `ShardedIngest` engine.
 
 use orsp_core::{
     complete_served, digest_hex, outcome_digest, run_client_side, service_for_world,

@@ -130,15 +130,15 @@ fn durability_changes_nothing_at_any_thread_count() {
         assert_eq!(report.records_replayed, 0);
         let pipeline =
             RspPipeline::new(PipelineConfig { threads, ..PipelineConfig::default() });
-        let outcome = pipeline.run_logged(&world, Some(&engine));
+        let outcome = pipeline.run_logged(&world, Some(Arc::new(engine)));
         assert_eq!(
             outcome_digest(&outcome),
             baseline_digest,
             "durable logging perturbed the outcome at {threads} threads"
         );
 
-        // Reboot: the log replays into the full accepted set.
-        drop(engine);
+        // Reboot: the log replays into the full accepted set. (The
+        // ingest stage dropped its handle on the engine when it finished.)
         let (_, recovered) =
             StorageEngine::open(Arc::new(dir.reopen()), StorageOptions::default()).unwrap();
         assert_eq!(
