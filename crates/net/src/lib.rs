@@ -8,12 +8,16 @@
 //!   retrieval RPC exists, by design), aggregate fetch, and search.
 //! * [`router`] — [`RspService`]: one `handle(Request) -> Response`
 //!   facade over the server substrates (mint, ingest, aggregates, search).
-//! * [`server`] — a synchronous thread-pool TCP server over `std::net`
-//!   (no async runtime, per DESIGN §5) with per-connection deadlines, a
-//!   bounded accept queue, explicit `Busy` load-shedding, and graceful
-//!   drain-on-shutdown.
+//! * [`server`] — an epoll reactor TCP server over `std::net` (no async
+//!   runtime, per DESIGN §6): a slab of non-blocking connections, a fixed
+//!   pool of event-loop threads that each execute the ready requests they
+//!   receive, per-connection deadlines, explicit `Busy` load-shedding past
+//!   the slab, and graceful drain-on-shutdown.
 //! * [`client`] — a blocking client with retry/backoff on `Busy`,
 //!   timeouts, and dropped connections.
+//! * [`flags`] — [`ServeFlags`], the flags and lifecycle shared by the
+//!   three server binaries (`--listen`, `--max-connections`,
+//!   `--trace-sample`, `--trace-slow-us`; serve until stdin EOF).
 //! * [`transport`] — the [`Transport`] trait with a deterministic
 //!   in-memory implementation (tests) beside the TCP one (daemon, bench).
 //!
@@ -31,12 +35,11 @@
 pub mod assembler;
 pub mod client;
 pub mod error;
-#[cfg(target_os = "linux")]
+pub mod flags;
 pub(crate) mod reactor;
 pub mod router;
 pub mod server;
 pub mod stream;
-#[cfg(target_os = "linux")]
 pub mod sys;
 pub mod transport;
 pub mod wire;
@@ -44,7 +47,8 @@ pub mod wire;
 pub use assembler::{AssembledFrame, FrameAssembler};
 pub use client::{CallTrace, ClientConfig, NetClient, NetPool, RetryStats, TcpTransport};
 pub use error::{NetError, WireError};
+pub use flags::{flag, serve_until_stdin_eof, ServeFlags};
 pub use router::{ReplicaHook, ReplicateOutcome, RspService, ServiceConfig};
-pub use server::{FrameService, NetServer, ServerConfig, ServerStats, TransportMode};
+pub use server::{FrameService, NetServer, ServerConfig, ServerStats};
 pub use transport::{InMemoryTransport, RemoteIssuer, Transport};
 pub use wire::{CatchRecord, Request, Response, SearchHit};

@@ -20,20 +20,19 @@
 //! `sleep` or close the terminal with ctrl-d), then drains gracefully
 //! and prints its final metric snapshot.
 
-use orsp_net::{ClientConfig, NetPool, NetServer, ServerConfig};
+use orsp_net::{flag, serve_until_stdin_eof, ClientConfig, NetPool, ServeFlags};
 use orsp_proxy::{BackendLink, ProxyConfig, ProxyService};
-use std::io::Read;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
+const USAGE: &str = "usage: orsp-proxy [--listen ADDR] --backend ADDR [--backend ADDR ...] \
+                     [--pool N] [--max-connections N] [--cluster-internal] \
+                     [--replication-factor N] [--trace-sample PER10K] [--trace-slow-us N]";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let listen = args
-        .iter()
-        .position(|a| a == "--listen")
-        .map(|i| args.get(i + 1).expect("--listen takes an address").clone())
-        .unwrap_or_else(|| "127.0.0.1:0".to_string());
+    let flags = ServeFlags::parse(&args, USAGE);
     let backends: Vec<SocketAddr> = args
         .iter()
         .enumerate()
@@ -46,60 +45,15 @@ fn main() {
         })
         .collect();
     if backends.is_empty() {
-        eprintln!(
-            "usage: orsp-proxy [--listen ADDR] --backend ADDR [--backend ADDR ...] \
-             [--pool N] [--max-connections N] [--cluster-internal] \
-             [--replication-factor N] [--trace-sample PER10K] [--trace-slow-us N]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     }
     let cluster_internal = args.iter().any(|a| a == "--cluster-internal");
     // Replication factor of the backend tier (see `orsp-replicad`):
     // above 1, the proxy fails reads and writes over to a range's
     // follower when its primary goes hard-down, promoting it in place.
-    let replication_factor: usize = args
-        .iter()
-        .position(|a| a == "--replication-factor")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--replication-factor takes a count")
-                .parse()
-                .expect("--replication-factor count")
-        })
-        .unwrap_or(1);
-    let pool: usize = args
-        .iter()
-        .position(|a| a == "--pool")
-        .map(|i| args.get(i + 1).expect("--pool takes a count").parse().expect("--pool count"))
-        .unwrap_or(4);
-    // Connection slab size for the event-loop transport: the proxy is
-    // the tier that fronts the device fleet, so this is where a raised
-    // ceiling matters most. 0 keeps the threaded shed point.
-    let max_connections: usize = args
-        .iter()
-        .position(|a| a == "--max-connections")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--max-connections takes a count")
-                .parse()
-                .expect("--max-connections count")
-        })
-        .unwrap_or(0);
-    // Head-based trace sampling, in traces per 10 000 roots (default 100
-    // = 1%); requests slower than `--trace-slow-us` are sampled anyway.
-    let trace_sample: Option<u32> = args.iter().position(|a| a == "--trace-sample").map(|i| {
-        args.get(i + 1)
-            .expect("--trace-sample takes a per-10k rate")
-            .parse()
-            .expect("--trace-sample rate")
-    });
-    let trace_slow_us: Option<u64> = args.iter().position(|a| a == "--trace-slow-us").map(|i| {
-        args.get(i + 1)
-            .expect("--trace-slow-us takes microseconds")
-            .parse()
-            .expect("--trace-slow-us microseconds")
-    });
-
+    let replication_factor: usize = flag(&args, "--replication-factor", USAGE).unwrap_or(1);
+    let pool: usize = flag(&args, "--pool", USAGE).unwrap_or(4);
     // The fan-out inherits the call deadline: a black-holed backend
     // costs a scatter-gather leg at most this budget (dial + retries),
     // never connect_timeout × attempts.
@@ -124,35 +78,13 @@ fn main() {
     if replication_factor > 1 {
         println!("proxy: replication factor {replication_factor} — failover routing enabled");
     }
-    // Distinct per-process id streams: the library default seed is fixed
-    // (tests pin ids), but the proxy and its backends must never mint
-    // colliding trace ids or the trace join would fuse unrelated traces.
-    let trace_seed = (std::process::id() as u64) << 32
-        ^ std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-    service.obs().tracer().set_seed(trace_seed);
-    if let Some(rate) = trace_sample {
-        service.obs().tracer().set_sampling(rate);
-        println!("proxy: tracing {rate}/10000 requests");
-    }
-    if let Some(slow) = trace_slow_us {
-        service.obs().tracer().set_slow_threshold_us(slow);
-        println!("proxy: always tracing requests slower than {slow}µs");
-    }
-    let server = NetServer::bind(
-        listen.as_str(),
-        service.clone(),
-        ServerConfig { max_connections, ..ServerConfig::default() },
-    )
-    .expect("bind proxy");
+    // The proxy fronts the device fleet, so this is where a raised
+    // `--max-connections` ceiling matters most.
+    let server = flags.bind(service.clone(), "proxy").expect("bind proxy");
     println!("proxy: listening on {} over {} backends", server.local_addr(), backends.len());
 
     // Serve until stdin closes, then drain.
-    let mut sink = Vec::new();
-    let _ = std::io::stdin().read_to_end(&mut sink);
-    let stats = server.shutdown();
+    let stats = serve_until_stdin_eof(server);
     println!(
         "proxy: drained — {} connections, {} requests, {} shed",
         stats.accepted, stats.requests, stats.shed

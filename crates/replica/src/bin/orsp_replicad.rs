@@ -21,6 +21,9 @@
 //! `--replication async` acks after the local fsync and forwards from a
 //! background queue (the `replication_lag` gauge is its depth).
 //!
+//! `--max-connections`, `--trace-sample` and `--trace-slow-us` mean what
+//! they mean on `rsp_daemon` and `orsp-proxy` ([`orsp_net::ServeFlags`]).
+//!
 //! Serves until stdin reaches EOF, then drains and checkpoints every
 //! held range from a scan of its own directory. (Unlike the single-node
 //! daemon, checkpoint stats come from log replay, so reject counters —
@@ -28,7 +31,7 @@
 //! restarts.)
 
 use orsp_core::{service_for_world_sharded, PipelineConfig};
-use orsp_net::{ClientConfig, NetPool, NetServer, ReplicaHook, ServerConfig};
+use orsp_net::{flag, serve_until_stdin_eof, ClientConfig, NetPool, ReplicaHook, ServeFlags};
 use orsp_replica::{
     catch_up_range, probe_range, PeerLink, RangeInit, ReplicaNode, ReplicatingSink,
     ReplicationMode, Role, Topology,
@@ -40,17 +43,12 @@ use orsp_world::{World, WorldConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).unwrap_or_else(|| panic!("{name} takes a value")).clone()
-    })
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    arg(args, name)
-        .map(|v| v.parse().ok().unwrap_or_else(|| panic!("{name}: bad value")))
-        .unwrap_or(default)
-}
+const USAGE: &str = "usage: orsp-replicad --data-dir PATH [--listen ADDR] [--node I] \
+                     [--cluster-size N] [--replication-factor N] [--replication sync|async] \
+                     [--peer ADDR ...] [--fsync always|on-rotate|never] [--shards N] \
+                     [--group-commit N] [--group-commit-window-us N] [--seed N] \
+                     [--users-per-zipcode N] [--horizon-days N] [--max-connections N] \
+                     [--trace-sample PER10K] [--trace-slow-us N]";
 
 fn peer_client() -> ClientConfig {
     ClientConfig {
@@ -69,37 +67,32 @@ fn peer_client() -> ClientConfig {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let data_dir = arg(&args, "--data-dir").expect("--data-dir is required");
-    let listen = arg(&args, "--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let node_index: u32 = parsed(&args, "--node", 0);
-    let cluster_size: u32 = parsed(&args, "--cluster-size", 1);
-    let replication_factor: u32 = parsed(&args, "--replication-factor", 2.min(cluster_size));
-    let mode = match arg(&args, "--replication") {
+    let data_dir = flag::<String>(&args, "--data-dir", USAGE).expect("--data-dir is required");
+    let flags = ServeFlags::parse(&args, USAGE);
+    let node_index: u32 = flag(&args, "--node", USAGE).unwrap_or(0);
+    let cluster_size: u32 = flag(&args, "--cluster-size", USAGE).unwrap_or(1);
+    let replication_factor: u32 =
+        flag(&args, "--replication-factor", USAGE).unwrap_or(2.min(cluster_size));
+    let mode = match flag::<String>(&args, "--replication", USAGE) {
         None => ReplicationMode::Sync,
         Some(v) => ReplicationMode::parse(&v)
             .unwrap_or_else(|| panic!("--replication must be sync|async, got {v}")),
     };
-    let fsync = match arg(&args, "--fsync").as_deref() {
+    let fsync = match flag::<String>(&args, "--fsync", USAGE).as_deref() {
         None | Some("always") => FsyncPolicy::Always,
         Some("on-rotate") => FsyncPolicy::OnRotate,
         Some("never") => FsyncPolicy::Never,
         Some(other) => panic!("--fsync must be always|on-rotate|never, got {other}"),
     };
     let shards: usize =
-        parsed(&args, "--shards", StorageOptions::default().shard_count as usize);
-    let group_commit: usize =
-        parsed(&args, "--group-commit", StorageOptions::default().group_commit_batch_max);
-    let group_commit_window_us: u64 = parsed(
-        &args,
-        "--group-commit-window-us",
-        StorageOptions::default().group_commit_window_us,
-    );
-    // Connection slab size for the event-loop transport; 0 keeps the
-    // threaded shed point (workers + queue depth).
-    let max_connections: usize = parsed(&args, "--max-connections", 0);
-    let seed: u64 = parsed(&args, "--seed", 13);
-    let users_per_zipcode: usize = parsed(&args, "--users-per-zipcode", 40);
-    let horizon_days: i64 = parsed(&args, "--horizon-days", 120);
+        flag(&args, "--shards", USAGE).unwrap_or(StorageOptions::default().shard_count as usize);
+    let group_commit: usize = flag(&args, "--group-commit", USAGE)
+        .unwrap_or(StorageOptions::default().group_commit_batch_max);
+    let group_commit_window_us: u64 = flag(&args, "--group-commit-window-us", USAGE)
+        .unwrap_or(StorageOptions::default().group_commit_window_us);
+    let seed: u64 = flag(&args, "--seed", USAGE).unwrap_or(13);
+    let users_per_zipcode: usize = flag(&args, "--users-per-zipcode", USAGE).unwrap_or(40);
+    let horizon_days: i64 = flag(&args, "--horizon-days", USAGE).unwrap_or(120);
     // Peer addresses in node-index order ("-" or the own slot ignored).
     let peer_addrs: Vec<String> = args
         .iter()
@@ -244,21 +237,7 @@ fn main() {
     // are never double-counted; they become live again on promotion.
     service.publish_aggregates();
 
-    // Distinct per-process trace id streams (same rationale as
-    // rsp_daemon: two daemons must never mint colliding trace ids).
-    let trace_seed = (std::process::id() as u64) << 32
-        ^ std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-    service.obs().tracer().set_seed(trace_seed);
-
-    let server = NetServer::bind(
-        listen.as_str(),
-        service.clone(),
-        ServerConfig { max_connections, ..ServerConfig::default() },
-    )
-    .expect("bind replicad");
+    let server = flags.bind(service.clone(), "replicad").expect("bind replicad");
     println!("replicad: listening on {}", server.local_addr());
     println!(
         "replicad: serving ({} mode, rf {}, ranges {:?})",
@@ -267,11 +246,7 @@ fn main() {
         topology.held_ranges(),
     );
 
-    // Serve until stdin closes — the cluster-backend lifecycle.
-    let mut sink = Vec::new();
-    let _ = std::io::Read::read_to_end(&mut std::io::stdin(), &mut sink);
-
-    let stats = server.shutdown();
+    let stats = serve_until_stdin_eof(server);
     node.shutdown();
     println!(
         "replicad: drained — {} connections, {} requests, {} shed",

@@ -38,10 +38,15 @@
 //! README "Running a cluster"). A fixed address also switches the
 //! lifecycle from one-shot demo to backend: after the demo client the
 //! daemon keeps serving until stdin reaches EOF, matching the proxy.
+//! `--listen`, `--max-connections N` (reactor slab, default 68),
+//! `--trace-sample PER10K` and `--trace-slow-us N` are the flags every
+//! server binary shares (`orsp_net::ServeFlags`).
 
 use orsp_core::{service_for_world_sharded, PipelineConfig};
 use orsp_crypto::TokenWallet;
-use orsp_net::{ClientConfig, NetClient, NetServer, RemoteIssuer, ServerConfig, TcpTransport};
+use orsp_net::{
+    flag, serve_until_stdin_eof, ClientConfig, NetClient, RemoteIssuer, ServeFlags, TcpTransport,
+};
 use orsp_search::SearchQuery;
 use orsp_server::{GroupCommitConfig, IngestService, WalSink};
 use orsp_storage::{FsDir, FsyncPolicy, StorageEngine, StorageOptions};
@@ -52,20 +57,18 @@ use orsp_types::{
 use orsp_world::{World, WorldConfig};
 use std::sync::Arc;
 
+const USAGE: &str = "usage: rsp_daemon [--data-dir PATH] [--fsync always|on-rotate|never] \
+                     [--shards N] [--group-commit N] [--group-commit-window-us N] \
+                     [--listen ADDR] [--max-connections N] [--trace-sample PER10K] \
+                     [--trace-slow-us N]";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let data_dir = args
-        .iter()
-        .position(|a| a == "--data-dir")
-        .map(|i| args.get(i + 1).expect("--data-dir takes a path").clone());
+    let data_dir: Option<String> = flag(&args, "--data-dir", USAGE);
     // The served ack promises that an accepted upload survives a crash;
     // only Always actually delivers that, so it is the default. The
     // flag exists for throughput experiments that accept bounded loss.
-    let fsync = match args
-        .iter()
-        .position(|a| a == "--fsync")
-        .map(|i| args.get(i + 1).expect("--fsync takes a policy").as_str())
-    {
+    let fsync = match flag::<String>(&args, "--fsync", USAGE).as_deref() {
         None | Some("always") => FsyncPolicy::Always,
         Some("on-rotate") => FsyncPolicy::OnRotate,
         Some("never") => FsyncPolicy::Never,
@@ -76,74 +79,20 @@ fn main() {
     // so equal counts give each ingest shard its own shard log. An
     // existing data directory's recorded count wins (the on-disk layout
     // is fixed at creation).
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .map(|i| args.get(i + 1).expect("--shards takes a count").parse().expect("--shards count"))
+    let shards: usize = flag(&args, "--shards", USAGE)
         .unwrap_or(StorageOptions::default().shard_count as usize);
     // Group commit: how many concurrent same-shard uploads one fsync may
     // cover, and how long a leader waits for stragglers before issuing it.
-    let group_commit: usize = args
-        .iter()
-        .position(|a| a == "--group-commit")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--group-commit takes a batch size")
-                .parse()
-                .expect("--group-commit batch size")
-        })
+    let group_commit: usize = flag(&args, "--group-commit", USAGE)
         .unwrap_or(StorageOptions::default().group_commit_batch_max);
-    let group_commit_window_us: u64 = args
-        .iter()
-        .position(|a| a == "--group-commit-window-us")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--group-commit-window-us takes microseconds")
-                .parse()
-                .expect("--group-commit-window-us microseconds")
-        })
+    let group_commit_window_us: u64 = flag(&args, "--group-commit-window-us", USAGE)
         .unwrap_or(StorageOptions::default().group_commit_window_us);
-    // Where to listen. The default ephemeral loopback port suits the
-    // single-process demo below; a cluster run gives each daemon a fixed
-    // port so an `orsp-proxy --backend` list can name them (DESIGN §9).
-    let fixed_listen = args
-        .iter()
-        .position(|a| a == "--listen")
-        .map(|i| args.get(i + 1).expect("--listen takes an address").clone());
-    let listen = fixed_listen.clone().unwrap_or_else(|| "127.0.0.1:0".to_string());
-    // Connection slab size for the event-loop transport. 0 (the default)
-    // keeps the threaded server's shed point (workers + queue depth); a
-    // device-fleet deployment raises it to hold idle connections open.
-    let max_connections: usize = args
-        .iter()
-        .position(|a| a == "--max-connections")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--max-connections takes a count")
-                .parse()
-                .expect("--max-connections count")
-        })
-        .unwrap_or(0);
-    // Head-based trace sampling, in traces per 10 000 roots (default 100
-    // = 1%); slow requests past `--trace-slow-us` are sampled regardless.
-    let trace_sample: Option<u32> = args
-        .iter()
-        .position(|a| a == "--trace-sample")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--trace-sample takes a per-10k rate")
-                .parse()
-                .expect("--trace-sample rate")
-        });
-    let trace_slow_us: Option<u64> = args
-        .iter()
-        .position(|a| a == "--trace-slow-us")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--trace-slow-us takes microseconds")
-                .parse()
-                .expect("--trace-slow-us microseconds")
-        });
+    // Where to listen, the connection slab, and trace sampling: the flags
+    // every server binary shares. The default ephemeral loopback port
+    // suits the single-process demo below; a cluster run gives each
+    // daemon a fixed port so an `orsp-proxy --backend` list can name
+    // them (DESIGN §9).
+    let flags = ServeFlags::parse(&args, USAGE);
 
     // 1. A synthetic city.
     let config = WorldConfig {
@@ -190,7 +139,7 @@ fn main() {
     };
 
     // 3. Serve it: the wire-facing service (token mint, ingest, search)
-    //    behind a thread-pool TCP server on an ephemeral loopback port,
+    //    behind the reactor TCP server on an ephemeral loopback port,
     //    resuming from the recovered store and logging through the engine.
     // Durable runs adopt the engine's (possibly recovered) shard count so
     // ingest shards and segment logs stay 1:1.
@@ -217,34 +166,12 @@ fn main() {
             GroupCommitConfig { batch_max: group_commit.max(1), window_us: group_commit_window_us },
         );
     }
-    // Distinct per-process id streams: the library default seed is fixed
-    // (tests pin ids), but two daemons must never mint colliding trace
-    // ids or the proxy's trace join would fuse unrelated traces.
-    let trace_seed = (std::process::id() as u64) << 32
-        ^ std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-    service.obs().tracer().set_seed(trace_seed);
-    if let Some(rate) = trace_sample {
-        service.obs().tracer().set_sampling(rate);
-        println!("tracing: sampling {rate}/10000 requests");
-    }
-    if let Some(slow) = trace_slow_us {
-        service.obs().tracer().set_slow_threshold_us(slow);
-        println!("tracing: always sampling requests slower than {slow}µs");
-    }
     println!(
         "service: {} ingest shards, group commit <= {} records/fsync",
         service.ingest_shards(),
         group_commit.max(1)
     );
-    let server = NetServer::bind(
-        listen.as_str(),
-        service.clone(),
-        ServerConfig { max_connections, ..ServerConfig::default() },
-    )
-    .expect("bind daemon");
+    let server = flags.bind(service.clone(), "daemon").expect("bind daemon");
     let addr = server.local_addr();
     println!("daemon: listening on {addr}");
 
@@ -340,14 +267,13 @@ fn main() {
     // 5. With a fixed `--listen` address this is a cluster backend, not a
     //    one-shot demo: keep serving (for `orsp-proxy --backend` peers)
     //    until stdin reaches EOF, the same lifecycle the proxy uses.
-    if fixed_listen.is_some() {
+    //    Then drain and exit, dumping the final registry snapshot.
+    let stats = if flags.listen.is_some() {
         println!("daemon: serving until stdin closes");
-        let mut sink = Vec::new();
-        let _ = std::io::Read::read_to_end(&mut std::io::stdin(), &mut sink);
-    }
-
-    //    Drain and exit, dumping the final registry snapshot.
-    let stats = server.shutdown();
+        serve_until_stdin_eof(server)
+    } else {
+        server.shutdown()
+    };
     println!(
         "daemon: drained — {} connections, {} requests, {} shed, {} protocol errors \
          (truncated {}, bad crc {}, oversized {}, unknown tag {}, other {})",
