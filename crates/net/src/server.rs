@@ -1,5 +1,5 @@
 //! The TCP server front: [`NetServer`], a readiness-driven reactor
-//! ([`crate::reactor`]) behind a small facade.
+//! (`reactor.rs`) behind a small facade.
 //!
 //! The reactor holds every connection in a slab of non-blocking sockets
 //! and a fixed pool of event-loop threads runs only ready, fully-framed
