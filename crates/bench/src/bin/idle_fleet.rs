@@ -2,26 +2,23 @@
 //!
 //! The repository's device population is mostly idle: thousands of
 //! sensors hold a connection open and upload sparsely. A
-//! thread-per-connection server pins a worker or an accept-queue slot per
-//! connection; the deleted threaded transport shed everything past
-//! `workers + queue depth` = 68 connections at the default config, however
-//! idle the fleet was. The reactor's ceiling is connection *slots*, which
-//! cost a slab entry each, not a thread.
+//! thread-per-connection server pins a worker (or a queue slot) per
+//! connection, so its ceiling is `workers + queue_depth` regardless of
+//! how idle the fleet is. The event loop's ceiling is connection
+//! *slots*, which cost a slab entry each, not a thread.
 //!
-//! Two phases at `workers = 4`, both gated:
+//! Two phases, each run on both transports with the same `workers = 4`:
 //!
-//! 1. **Closed loop**: a few always-busy clients, an untimed warm-up,
-//!    then 3 trials. The best trial must reach 90% of
-//!    [`THREADED_BASELINE`]'s median with zero errors. When the trials'
-//!    own quartile spread exceeds 10%, the run is too noisy to judge a
-//!    10% margin and the gate reports `unresolved` instead of passing or
-//!    failing.
-//! 2. **Idle fleet**: N connections (default 5 000; the gate requires
-//!    N > `ServerConfig::default().max_connections`, the old threaded
-//!    ceiling) opened across a few client threads, each pinging once per
-//!    sparse round with idle gaps between rounds. The reactor must hold
-//!    every connection with zero sheds and a slab high water of at least
-//!    N.
+//! 1. **Idle fleet**: N connections (default 5 000) opened across a few
+//!    client threads, each issuing one ping per sparse round with idle
+//!    gaps between rounds. Records how many connections survived every
+//!    round, Busy sheds, stalls (request timeouts), and ping p99.
+//!    The event loop must hold the whole fleet with zero sheds; the
+//!    threaded server at the same config must shed or stall — that
+//!    contrast is the point of the refactor.
+//! 2. **Closed loop**: a few always-busy clients, to show the refactor
+//!    did not tax the saturated path — event-loop throughput must stay
+//!    within 10% of the threaded (pre-refactor) number.
 //!
 //! Writes `results/BENCH_idle_fleet.json` (gated in `scripts/verify.sh`).
 //!
@@ -30,40 +27,23 @@
 //! cargo run --release -p orsp-bench --bin idle_fleet -- --conns 8000 --rounds 3
 //! ```
 
-use orsp_bench::{arg_u64, f, git_rev, header, quartiles, seed_from_args, RpcMix};
+use orsp_bench::{arg_u64, f, header, seed_from_args};
 use orsp_core::{service_for_world, PipelineConfig};
-use orsp_net::{ClientConfig, NetClient, NetError, NetServer, ServerConfig, ServerStats};
+use orsp_crypto::{BlindingSession, RsaPublicKey};
+use orsp_net::{
+    ClientConfig, NetClient, NetError, NetServer, ServerConfig, ServerStats, TransportMode,
+};
+use orsp_search::SearchQuery;
 use orsp_types::rng::rng_for_indexed;
+use orsp_types::{Category, DeviceId, Timestamp};
 use orsp_world::{World, WorldConfig};
+use rand::Rng;
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const WORKERS: usize = 4;
-/// Closed-loop trials per run; the best one is gated.
-const TRIALS: u64 = 3;
-
-/// A recorded closed-loop throughput distribution.
-struct Baseline {
-    median_rps: f64,
-    q1_rps: f64,
-    q3_rps: f64,
-    runs: u32,
-    cores: usize,
-    git_rev: &'static str,
-}
-
-/// The threaded transport's closed-loop best-of-3 (req/s), measured by
-/// this bench's closed-loop phase in 5 runs at the last revision that
-/// still had the threaded transport, on a 2-core Intel Xeon VM.
-const THREADED_BASELINE: Baseline = Baseline {
-    median_rps: 59_801.7,
-    q1_rps: 52_373.3,
-    q3_rps: 70_482.7,
-    runs: 5,
-    cores: 2,
-    git_rev: "85a13cf7bae51db26e78ee58c48e857ef0661e56",
-};
+const QUEUE_DEPTH: usize = 64;
 
 struct FleetResult {
     connected: u64,
@@ -77,6 +57,22 @@ struct FleetResult {
     secs: f64,
 }
 
+struct ClosedResult {
+    requests: u64,
+    errors: u64,
+    secs: f64,
+}
+
+impl ClosedResult {
+    fn rps(&self) -> f64 {
+        if self.secs > 0.0 {
+            self.requests as f64 / self.secs
+        } else {
+            0.0
+        }
+    }
+}
+
 fn main() {
     let seed = seed_from_args();
     let conns = arg_u64("conns", 5_000) as usize;
@@ -85,7 +81,7 @@ fn main() {
     let seconds = arg_u64("seconds", 3);
     header(
         "IDLE-FLEET",
-        "connection scaling: an idle fleet held in the reactor slab",
+        "connection scaling: event-loop slab vs thread-per-connection",
     );
 
     let world = World::generate(WorldConfig {
@@ -95,130 +91,119 @@ fn main() {
     .unwrap();
     let config = PipelineConfig::default();
 
-    // Best-of-3: on a small shared box a single trial mostly measures
-    // scheduler luck (the blind-signature RPC is milliseconds of CPU, so
-    // one preemption moves a 3s number by double digits). Interference
-    // only ever subtracts, so the best trial is the least-disturbed one.
-    // The closed loop runs first: right after the fleet phase the kernel
-    // is still tearing down thousands of sockets. One untimed warm-up
-    // trial goes before the gated ones, as every threaded trial of the
-    // baseline ran right after a reactor trial.
-    println!("\n-- closed loop: {WORKERS} clients, {TRIALS} x {seconds}s, best trial --");
-    let (warm_rps, _) = run_closed(&world, &config, seconds, seed + TRIALS);
-    println!("  warm-up: {} req/s (not gated)", f(warm_rps));
-    let mut trials: Vec<(f64, u64)> = Vec::new();
-    for trial in 0..TRIALS {
-        let (rps, errors) = run_closed(&world, &config, seconds, seed + trial);
-        println!("  trial {}: {} req/s ({errors} errors)", trial + 1, f(rps));
-        trials.push((rps, errors));
-    }
-
     println!(
         "\n-- idle fleet: {conns} connections, {threads} client threads, {rounds} sparse \
          rounds, workers={WORKERS} --"
     );
-    let fleet = run_fleet(&world, &config, conns, threads, rounds);
-    report_fleet(&fleet);
-    let mut rps: Vec<f64> = trials.iter().map(|t| t.0).collect();
-    rps.sort_by(f64::total_cmp);
-    let best = rps[rps.len() - 1];
-    let (q1, median, q3) = quartiles(&rps);
-    let spread = if median > 0.0 {
-        (q3 - q1) / median
-    } else {
-        f64::INFINITY
-    };
-    let errors: u64 = trials.iter().map(|t| t.1).sum();
-    let base = &THREADED_BASELINE;
-    let ratio = best / base.median_rps;
+    println!("\n[event loop]");
+    let event = run_fleet(
+        &world,
+        &config,
+        TransportMode::EventLoop,
+        conns,
+        threads,
+        rounds,
+    );
+    report_fleet(&event);
+    println!("\n[threaded]");
+    let threaded = run_fleet(
+        &world,
+        &config,
+        TransportMode::Threaded,
+        conns,
+        threads,
+        rounds,
+    );
+    report_fleet(&threaded);
 
-    let fleet_gate = conns > ServerConfig::default().max_connections
-        && fleet.held as usize == conns
-        && fleet.busy == 0
-        && fleet.stats.shed == 0
-        && fleet.stats.slab_high_water >= conns as i64;
-    let tput_gate = if spread > 0.10 {
-        "unresolved"
-    } else if ratio >= 0.9 && errors == 0 {
-        "pass"
-    } else {
-        "fail"
+    // Alternating best-of-3: on a small shared box a single trial mostly
+    // measures scheduler luck (the blind-signature RPC is milliseconds of
+    // CPU, so one preemption moves a 2s number by double digits).
+    // Interference only ever subtracts, so the best trial per transport
+    // is the least-disturbed measurement of each.
+    println!("\n-- closed loop: {WORKERS} clients, 3 x {seconds}s per transport, best trial --");
+    let mut closed_event = ClosedResult {
+        requests: 0,
+        errors: 0,
+        secs: 1.0,
     };
+    let mut closed_threaded = ClosedResult {
+        requests: 0,
+        errors: 0,
+        secs: 1.0,
+    };
+    for trial in 0..3u64 {
+        let e = run_closed(
+            &world,
+            &config,
+            TransportMode::EventLoop,
+            seconds,
+            seed + trial,
+        );
+        let t = run_closed(
+            &world,
+            &config,
+            TransportMode::Threaded,
+            seconds,
+            seed + trial,
+        );
+        println!(
+            "  trial {}: event {} req/s, threaded {} req/s",
+            trial + 1,
+            f(e.rps()),
+            f(t.rps())
+        );
+        if e.errors == 0 && e.rps() > closed_event.rps() {
+            closed_event = e;
+        }
+        if t.errors == 0 && t.rps() > closed_threaded.rps() {
+            closed_threaded = t;
+        }
+    }
     println!(
-        "\nfleet gate: {conns} > {} default slots, all held with 0 sheds, high water {} -> {}",
-        ServerConfig::default().max_connections,
-        fleet.stats.slab_high_water,
+        "  event loop: {} req/s ({} errors)",
+        f(closed_event.rps()),
+        closed_event.errors
+    );
+    println!(
+        "  threaded:   {} req/s ({} errors)",
+        f(closed_threaded.rps()),
+        closed_threaded.errors
+    );
+
+    let event_holds = event.held as usize == conns
+        && event.busy == 0
+        && event.stats.shed == 0
+        && event.stats.slab_high_water >= conns as i64;
+    let threaded_fails = threaded.busy > 0 || threaded.stalled > 0;
+    let fleet_gate = event_holds && threaded_fails;
+    let tput_gate = closed_event.rps() >= 0.9 * closed_threaded.rps()
+        && closed_event.errors == 0
+        && closed_threaded.errors == 0;
+    println!(
+        "\nidle-fleet gate: event holds all {conns} with 0 sheds = {event_holds}, \
+         threaded sheds/stalls = {threaded_fails} -> {}",
         if fleet_gate { "PASS" } else { "FAIL" }
     );
     println!(
-        "throughput gate: best {} req/s = {:.1}% of the threaded median {} req/s \
-         (needs >= 90%, {errors} errors; trial spread {:.1}%, resolves <= 10%) -> {}",
-        f(best),
-        100.0 * ratio,
-        f(base.median_rps),
-        100.0 * spread,
-        tput_gate.to_uppercase()
+        "throughput gate: event {} vs threaded {} req/s (>= 90%: {})",
+        f(closed_event.rps()),
+        f(closed_threaded.rps()),
+        if tput_gate { "PASS" } else { "FAIL" }
     );
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let fleet_json = format!(
-        "{{\"connected\": {}, \"held\": {}, \"busy\": {}, \"stalled\": {}, \
-         \"other_errors\": {}, \"p99_us\": {}, \"server_accepted\": {}, \
-         \"server_shed\": {}, \"slab_high_water\": {}, \"deadline_closed\": {}, \
-         \"secs\": {:.1}}}",
-        fleet.connected,
-        fleet.held,
-        fleet.busy,
-        fleet.stalled,
-        fleet.other_errors,
-        fleet.p99_us,
-        fleet.stats.accepted,
-        fleet.stats.shed,
-        fleet.stats.slab_high_water,
-        fleet.stats.deadline_closed,
-        fleet.secs
+    write_json(
+        seed,
+        conns,
+        threads,
+        rounds,
+        &event,
+        &threaded,
+        &closed_event,
+        &closed_threaded,
+        fleet_gate,
+        tput_gate,
     );
-    let trials_json: Vec<String> = trials.iter().map(|t| format!("{:.1}", t.0)).collect();
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"idle_fleet\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"cores\": {cores},\n"));
-    out.push_str(&format!("  \"git_rev\": \"{}\",\n", git_rev()));
-    out.push_str(&format!("  \"conns\": {conns},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"rounds\": {rounds},\n"));
-    out.push_str(&format!("  \"workers\": {WORKERS},\n"));
-    out.push_str(&format!(
-        "  \"default_max_connections\": {},\n",
-        ServerConfig::default().max_connections
-    ));
-    out.push_str(&format!("  \"fleet\": {fleet_json},\n"));
-    out.push_str(&format!(
-        "  \"closed_loop_trials_rps\": [{}],\n",
-        trials_json.join(", ")
-    ));
-    out.push_str(&format!("  \"closed_loop_errors\": {errors},\n"));
-    out.push_str(&format!("  \"closed_loop_best_rps\": {best:.1},\n"));
-    out.push_str(&format!("  \"closed_loop_median_rps\": {median:.1},\n"));
-    out.push_str(&format!(
-        "  \"closed_loop_spread_pct\": {:.1},\n",
-        100.0 * spread
-    ));
-    out.push_str(&format!(
-        "  \"threaded_baseline\": {{\"median_rps\": {:.1}, \"q1_rps\": {:.1}, \
-         \"q3_rps\": {:.1}, \"runs\": {}, \"cores\": {}, \"git_rev\": \"{}\"}},\n",
-        base.median_rps, base.q1_rps, base.q3_rps, base.runs, base.cores, base.git_rev
-    ));
-    out.push_str(&format!("  \"best_vs_threaded_median\": {ratio:.3},\n"));
-    out.push_str(&format!("  \"fleet_gate_ok\": {fleet_gate},\n"));
-    out.push_str(&format!("  \"throughput_gate\": \"{tput_gate}\"\n"));
-    out.push_str("}\n");
-
-    let path = "results/BENCH_idle_fleet.json";
-    match std::fs::write(path, &out) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
 }
 
 fn report_fleet(r: &FleetResult) {
@@ -250,18 +235,23 @@ fn report_fleet(r: &FleetResult) {
 fn run_fleet(
     world: &World,
     config: &PipelineConfig,
+    transport: TransportMode,
     conns: usize,
     threads: usize,
     rounds: u64,
 ) -> FleetResult {
     let server_config = ServerConfig {
         workers: WORKERS,
+        queue_depth: QUEUE_DEPTH,
         // Generous read deadline: the fleet is *idle*, not dead — the
         // inter-round gaps must not trip the reactor's timer wheel.
         read_timeout: Duration::from_secs(30),
         write_timeout: Duration::from_secs(5),
-        // Enough slots for the whole fleet, with headroom.
-        max_connections: conns + 64,
+        transport,
+        // Enough slots for the whole fleet (the threaded transport has
+        // no slab and ignores this; its ceiling stays workers + queue).
+        max_connections: conns + QUEUE_DEPTH,
+        ..ServerConfig::default()
     };
     let service = Arc::new(service_for_world(world, config));
     let server = NetServer::bind("127.0.0.1:0", service, server_config).expect("bind fleet");
@@ -330,7 +320,8 @@ struct FleetPart {
 /// walk the fleet once per round with an idle gap between rounds.
 fn fleet_thread(addr: SocketAddr, count: usize, rounds: u64, barrier: &Barrier) -> FleetPart {
     // No retries, and a short read deadline so a stalled connection
-    // (accepted but never served) costs one bounded wait, not a hang.
+    // (accepted but never served — the threaded queue's fate) costs one
+    // bounded wait, not a hang.
     let client_config = ClientConfig {
         max_retries: 0,
         connect_timeout: Duration::from_secs(5),
@@ -403,34 +394,178 @@ fn fleet_thread(addr: SocketAddr, count: usize, rounds: u64, barrier: &Barrier) 
 /// A short saturated phase: every client fires its next request the
 /// moment the previous response lands, over the same realistic RPC mix
 /// `net_throughput` measures (search, aggregate fetch, ping, blind-token
-/// issue) — the number the 10% gate judges. Returns req/s and errors.
-fn run_closed(world: &World, config: &PipelineConfig, seconds: u64, seed: u64) -> (f64, u64) {
+/// issue) — the reference number the 10% gate is defined against.
+fn run_closed(
+    world: &World,
+    config: &PipelineConfig,
+    transport: TransportMode,
+    seconds: u64,
+    seed: u64,
+) -> ClosedResult {
     let server_config = ServerConfig {
         workers: WORKERS,
+        queue_depth: QUEUE_DEPTH,
+        read_timeout: Duration::from_secs(5),
+        write_timeout: Duration::from_secs(5),
+        transport,
         ..ServerConfig::default()
     };
     let service = Arc::new(service_for_world(world, config));
-    let mix = Arc::new(RpcMix::new(world, service.mint_public_key()));
+    let public = service.mint_public_key();
     let server = NetServer::bind("127.0.0.1:0", service, server_config).expect("bind closed");
     let addr = server.local_addr();
+    let deadline = Duration::from_secs(seconds);
+    let zipcodes: Vec<u32> = world.zipcodes.iter().map(|z| z.code).collect();
+    let entities: Vec<_> = world.entities.iter().map(|e| e.id).collect();
+    let categories = Category::all_physical();
     let started = Instant::now();
     let handles: Vec<_> = (0..WORKERS)
-        .map(|client| {
-            let mix = Arc::clone(&mix);
+        .map(|thread| {
+            let zipcodes = zipcodes.clone();
+            let entities = entities.clone();
+            let categories = categories.clone();
+            let public = public.clone();
             std::thread::spawn(move || {
-                let mut rng = rng_for_indexed(seed, "idle-fleet-closed", client as u64);
-                mix.run(addr, &mut rng, client, Duration::from_secs(seconds), None)
+                closed_worker(
+                    addr,
+                    thread,
+                    seed,
+                    deadline,
+                    &zipcodes,
+                    &entities,
+                    &categories,
+                    &public,
+                )
             })
         })
         .collect();
     let mut requests = 0u64;
     let mut errors = 0u64;
     for handle in handles {
-        let run = handle.join().expect("closed-loop thread panicked");
-        requests += run.latencies.len() as u64;
-        errors += run.errors;
+        let (r, e) = handle.join().expect("closed-loop thread panicked");
+        requests += r;
+        errors += e;
     }
-    let rps = requests as f64 / started.elapsed().as_secs_f64();
+    let secs = started.elapsed().as_secs_f64();
     server.shutdown();
-    (rps, errors)
+    ClosedResult {
+        requests,
+        errors,
+        secs,
+    }
+}
+
+/// One closed-loop client: `net_throughput`'s RPC mix, unchanged.
+#[allow(clippy::too_many_arguments)]
+fn closed_worker(
+    addr: SocketAddr,
+    thread: usize,
+    seed: u64,
+    deadline: Duration,
+    zipcodes: &[u32],
+    entities: &[orsp_types::EntityId],
+    categories: &[Category],
+    public: &RsaPublicKey,
+) -> (u64, u64) {
+    let mut rng = rng_for_indexed(seed, "idle-fleet-closed", thread as u64);
+    let mut client = NetClient::connect(addr, ClientConfig::default()).expect("closed-loop client");
+    client.ping().expect("warmup ping");
+    let begin = Instant::now();
+    let mut requests = 0u64;
+    let mut errors = 0u64;
+    let mut i = 0u64;
+    while begin.elapsed() < deadline {
+        let ok = match i % 16 {
+            0 | 8 => client.ping().is_ok(),
+            1 | 2 | 9 | 10 => {
+                let entity = entities[rng.gen_range(0..entities.len())];
+                client.fetch_aggregate(entity).is_ok()
+            }
+            7 => {
+                let device = DeviceId::new(1 + thread as u64 * 1_000_000_000 + i);
+                let mut message = [0u8; 32];
+                rng.fill(&mut message);
+                let (session, blinded) = BlindingSession::blind(&mut rng, public, &message);
+                match client.issue_token(device, &blinded, Timestamp::EPOCH) {
+                    Ok(Ok(signature)) => session.unblind(&signature).is_ok(),
+                    _ => false,
+                }
+            }
+            _ => {
+                let query = SearchQuery {
+                    zipcode: zipcodes[rng.gen_range(0..zipcodes.len())],
+                    category: categories[rng.gen_range(0..categories.len())],
+                };
+                client.search(query).is_ok()
+            }
+        };
+        if ok {
+            requests += 1;
+        } else {
+            errors += 1;
+        }
+        i += 1;
+    }
+    (requests, errors)
+}
+
+/// Hand-rolled JSON (the workspace has no serde_json): flat and stable.
+#[allow(clippy::too_many_arguments)]
+fn write_json(
+    seed: u64,
+    conns: usize,
+    threads: usize,
+    rounds: u64,
+    event: &FleetResult,
+    threaded: &FleetResult,
+    closed_event: &ClosedResult,
+    closed_threaded: &ClosedResult,
+    fleet_gate: bool,
+    tput_gate: bool,
+) {
+    let fleet = |r: &FleetResult| {
+        format!(
+            "{{\"connected\": {}, \"held\": {}, \"busy\": {}, \"stalled\": {}, \
+             \"other_errors\": {}, \"p99_us\": {}, \"server_accepted\": {}, \
+             \"server_shed\": {}, \"slab_high_water\": {}, \"deadline_closed\": {}, \
+             \"secs\": {:.1}}}",
+            r.connected,
+            r.held,
+            r.busy,
+            r.stalled,
+            r.other_errors,
+            r.p99_us,
+            r.stats.accepted,
+            r.stats.shed,
+            r.stats.slab_high_water,
+            r.stats.deadline_closed,
+            r.secs
+        )
+    };
+    let mut out = String::from("{\n");
+    out.push_str("  \"bench\": \"idle_fleet\",\n");
+    out.push_str(&format!("  \"seed\": {seed},\n"));
+    out.push_str(&format!("  \"conns\": {conns},\n"));
+    out.push_str(&format!("  \"threads\": {threads},\n"));
+    out.push_str(&format!("  \"rounds\": {rounds},\n"));
+    out.push_str(&format!("  \"workers\": {WORKERS},\n"));
+    out.push_str(&format!("  \"event_fleet\": {},\n", fleet(event)));
+    out.push_str(&format!("  \"threaded_fleet\": {},\n", fleet(threaded)));
+    out.push_str(&format!(
+        "  \"closed_loop_event_rps\": {:.1},\n",
+        closed_event.rps()
+    ));
+    out.push_str(&format!(
+        "  \"closed_loop_threaded_rps\": {:.1},\n",
+        closed_threaded.rps()
+    ));
+    out.push_str(&format!("  \"idle_fleet_gate_ok\": {fleet_gate},\n"));
+    out.push_str(&format!("  \"throughput_within_10pct\": {tput_gate}\n"));
+    out.push_str("}\n");
+
+    let path = "results/BENCH_idle_fleet.json";
+    match std::fs::write(path, &out) {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => println!("could not write {path}: {e}"),
+    }
 }

@@ -54,9 +54,10 @@ fn main() {
     let config = PipelineConfig::default();
     let server_config = ServerConfig {
         workers: clients + 2,
+        queue_depth: 64,
         read_timeout: Duration::from_secs(5),
         write_timeout: Duration::from_secs(5),
-        max_connections: clients + 2 + 64,
+        ..ServerConfig::default()
     };
     let (server, service) = serve(&world, &config, "127.0.0.1:0", server_config).expect("bind");
     let addr = server.local_addr();

@@ -144,9 +144,10 @@ fn run_topology(
 ) -> TopologyResult {
     let server_config = ServerConfig {
         workers: clients + 2,
+        queue_depth: 64,
         read_timeout: Duration::from_secs(5),
         write_timeout: Duration::from_secs(5),
-        max_connections: clients + 2 + 64,
+        ..ServerConfig::default()
     };
     let backends: Vec<(NetServer, Arc<RspService>)> = (0..backends_n)
         .map(|_| serve(world, config, "127.0.0.1:0", server_config).expect("bind backend"))

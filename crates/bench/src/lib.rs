@@ -7,16 +7,6 @@
 
 #![forbid(unsafe_code)]
 
-use orsp_crypto::{BlindingSession, RsaPublicKey};
-use orsp_net::{ClientConfig, NetClient};
-use orsp_search::SearchQuery;
-use orsp_types::{Category, DeviceId, EntityId, Timestamp};
-use orsp_world::World;
-use rand::rngs::StdRng;
-use rand::Rng;
-use std::net::SocketAddr;
-use std::time::{Duration, Instant};
-
 /// Parse `--seed N` from argv; default 42.
 pub fn seed_from_args() -> u64 {
     let args: Vec<String> = std::env::args().collect();
@@ -58,153 +48,6 @@ pub fn f(v: f64) -> String {
     }
 }
 
-/// Quartiles `(q1, median, q3)` of an ascending sample, interpolating
-/// linearly between ranks; all zero for an empty sample.
-pub fn quartiles(sorted: &[f64]) -> (f64, f64, f64) {
-    let at = |p: f64| -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let pos = (sorted.len() - 1) as f64 * p;
-        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
-    };
-    (at(0.25), at(0.5), at(0.75))
-}
-
-/// The checkout's revision, read from `.git` in the working directory
-/// ("unknown" outside a git checkout).
-pub fn git_rev() -> String {
-    let head = std::fs::read_to_string(".git/HEAD").unwrap_or_default();
-    let rev = match head.trim().strip_prefix("ref: ") {
-        Some(r) => {
-            std::fs::read_to_string(std::path::Path::new(".git").join(r)).unwrap_or_default()
-        }
-        None => head.clone(),
-    };
-    match rev.trim() {
-        "" => "unknown".into(),
-        rev => rev.to_string(),
-    }
-}
-
-/// The RPC mix the network benches drive over one connection. Per 16
-/// requests: 2 pings, 4 aggregate fetches, 1 blind-token issue (an RSA
-/// signature on the server, unblind and verify on the client) and 9
-/// searches.
-pub struct RpcMix {
-    zipcodes: Vec<u32>,
-    entities: Vec<EntityId>,
-    categories: Vec<Category>,
-    public: RsaPublicKey,
-}
-
-/// One client's run of an [`RpcMix`].
-pub struct MixRun {
-    /// Latency of each successful request, µs.
-    pub latencies: Vec<u64>,
-    /// Open loop only: how late each send started against its
-    /// schedule, µs.
-    pub lags: Vec<u64>,
-    /// Requests that failed.
-    pub errors: u64,
-}
-
-impl RpcMix {
-    /// Draw queries from `world`; blind tokens against the mint key
-    /// `public`.
-    pub fn new(world: &World, public: RsaPublicKey) -> RpcMix {
-        RpcMix {
-            zipcodes: world.zipcodes.iter().map(|z| z.code).collect(),
-            entities: world.entities.iter().map(|e| e.id).collect(),
-            categories: Category::all_physical(),
-            public,
-        }
-    }
-
-    /// Drive one connection to `addr` for `duration` as client number
-    /// `client`, drawing queries and token messages from `rng`. With
-    /// `open_rate: None` the
-    /// loop is closed: each request goes out when the previous reply
-    /// lands. With `Some(r)` it holds a schedule of `r` req/s; a sender
-    /// that falls behind sends at once, and latency counts from the
-    /// intended send time, so the wait a late send spent behind its
-    /// predecessors stays in the sample (no coordinated omission). The
-    /// lateness itself is the generator lag.
-    pub fn run(
-        &self,
-        addr: SocketAddr,
-        rng: &mut StdRng,
-        client: usize,
-        duration: Duration,
-        open_rate: Option<u64>,
-    ) -> MixRun {
-        let mut conn = NetClient::connect(addr, ClientConfig::default()).expect("bench client");
-        conn.ping().expect("warmup ping");
-        let interval = open_rate.map(|r| Duration::from_secs_f64(1.0 / r.max(1) as f64));
-        let begin = Instant::now();
-        let mut next_send = begin;
-        let mut run = MixRun {
-            latencies: Vec::with_capacity(8192),
-            lags: Vec::new(),
-            errors: 0,
-        };
-        let mut i = 0u64;
-        while begin.elapsed() < duration {
-            let t0 = match interval {
-                Some(step) => {
-                    let intended = next_send;
-                    let now = Instant::now();
-                    if intended > now {
-                        std::thread::sleep(intended - now);
-                    }
-                    run.lags.push(
-                        Instant::now()
-                            .saturating_duration_since(intended)
-                            .as_micros() as u64,
-                    );
-                    next_send += step;
-                    intended
-                }
-                None => Instant::now(),
-            };
-            let ok = match i % 16 {
-                0 | 8 => conn.ping().is_ok(),
-                1 | 2 | 9 | 10 => {
-                    let entity = self.entities[rng.gen_range(0..self.entities.len())];
-                    conn.fetch_aggregate(entity).is_ok()
-                }
-                7 => {
-                    // One fresh device per call so the rate limiter
-                    // never denies.
-                    let device = DeviceId::new(1 + client as u64 * 1_000_000_000 + i);
-                    let mut message = [0u8; 32];
-                    rng.fill(&mut message);
-                    let (session, blinded) = BlindingSession::blind(rng, &self.public, &message);
-                    match conn.issue_token(device, &blinded, Timestamp::EPOCH) {
-                        Ok(Ok(signature)) => session.unblind(&signature).is_ok(),
-                        _ => false,
-                    }
-                }
-                _ => {
-                    let query = SearchQuery {
-                        zipcode: self.zipcodes[rng.gen_range(0..self.zipcodes.len())],
-                        category: self.categories[rng.gen_range(0..self.categories.len())],
-                    };
-                    conn.search(query).is_ok()
-                }
-            };
-            if ok {
-                run.latencies.push(t0.elapsed().as_micros() as u64);
-            } else {
-                run.errors += 1;
-            }
-            i += 1;
-        }
-        run
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,12 +57,5 @@ mod tests {
         assert_eq!(f(12345.6), "12346");
         assert_eq!(f(12.34), "12.3");
         assert_eq!(f(1.234), "1.23");
-    }
-
-    #[test]
-    fn quartiles_interpolate_between_ranks() {
-        assert_eq!(quartiles(&[1.0, 2.0, 3.0, 4.0, 5.0]), (2.0, 3.0, 4.0));
-        assert_eq!(quartiles(&[10.0, 20.0, 40.0]), (15.0, 20.0, 30.0));
-        assert_eq!(quartiles(&[]), (0.0, 0.0, 0.0));
     }
 }

@@ -6,7 +6,7 @@
 //! | flag | default |
 //! |---|---|
 //! | `--listen ADDR` | an ephemeral loopback port |
-//! | `--max-connections N` | [`ServerConfig::default`]'s slab (0 is refused) |
+//! | `--max-connections N` | [`ServerConfig::default`]'s slab, 68 (0 is refused) |
 //! | `--trace-sample PER10K` | the tracer's 1% |
 //! | `--trace-slow-us N` | off |
 
@@ -35,7 +35,7 @@ impl ServeFlags {
     /// `--max-connections 0`, prints `usage` and exits with status 2.
     pub fn parse(args: &[String], usage: &str) -> ServeFlags {
         let max_connections = flag(args, "--max-connections", usage)
-            .unwrap_or(ServerConfig::default().max_connections);
+            .unwrap_or(ServerConfig::default().effective_max_connections());
         if max_connections == 0 {
             usage_exit("--max-connections must be at least 1", usage);
         }
@@ -113,7 +113,8 @@ mod tests {
     fn defaults_take_the_server_config_slab() {
         let flags = ServeFlags::parse(&args(&["bin", "--data-dir", "/x"]), "usage");
         assert_eq!(flags.listen, None);
-        assert_eq!(flags.max_connections, ServerConfig::default().max_connections);
+        assert_eq!(flags.max_connections, ServerConfig::default().effective_max_connections());
+        assert_eq!(flags.max_connections, 68);
         assert_eq!(flags.trace_sample, None);
         assert_eq!(flags.trace_slow_us, None);
     }

@@ -8,11 +8,12 @@
 //!   retrieval RPC exists, by design), aggregate fetch, and search.
 //! * [`router`] — [`RspService`]: one `handle(Request) -> Response`
 //!   facade over the server substrates (mint, ingest, aggregates, search).
-//! * [`server`] — an epoll reactor TCP server over `std::net` (no async
-//!   runtime, per DESIGN §6): a slab of non-blocking connections, a fixed
-//!   pool of event-loop threads that each execute the ready requests they
-//!   receive, per-connection deadlines, explicit `Busy` load-shedding past
-//!   the slab, and graceful drain-on-shutdown.
+//! * [`server`] — a TCP server over `std::net` (no async runtime, per
+//!   DESIGN §6) with two transports: an epoll reactor over a slab of
+//!   non-blocking connections (default, Linux) and a thread-per-connection
+//!   pool behind a bounded accept queue. Both keep per-connection
+//!   deadlines, explicit `Busy` load-shedding, and graceful
+//!   drain-on-shutdown.
 //! * [`client`] — a blocking client with retry/backoff on `Busy`,
 //!   timeouts, and dropped connections.
 //! * [`flags`] — [`ServeFlags`], the flags and lifecycle shared by the
@@ -36,10 +37,12 @@ pub mod assembler;
 pub mod client;
 pub mod error;
 pub mod flags;
+#[cfg(target_os = "linux")]
 pub(crate) mod reactor;
 pub mod router;
 pub mod server;
 pub mod stream;
+#[cfg(target_os = "linux")]
 pub mod sys;
 pub mod transport;
 pub mod wire;
@@ -49,6 +52,6 @@ pub use client::{CallTrace, ClientConfig, NetClient, NetPool, RetryStats, TcpTra
 pub use error::{NetError, WireError};
 pub use flags::{flag, serve_until_stdin_eof, ServeFlags};
 pub use router::{ReplicaHook, ReplicateOutcome, RspService, ServiceConfig};
-pub use server::{FrameService, NetServer, ServerConfig, ServerStats};
+pub use server::{FrameService, NetServer, ServerConfig, ServerStats, TransportMode};
 pub use transport::{InMemoryTransport, RemoteIssuer, Transport};
 pub use wire::{CatchRecord, Request, Response, SearchHit};

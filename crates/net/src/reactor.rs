@@ -2,46 +2,45 @@
 //! per-connection state machines, so an idle connection costs a slab
 //! slot, not a thread.
 //!
-//! Topology: `workers` **event-loop threads** share one epoll set and
-//! one connection table — the listener, the connection slab and the
-//! timer wheel, behind a mutex. Each thread waits in `epoll_wait` with no
-//! lock held, and the kernel hands each readiness event to one waiter.
-//! Connections register edge-triggered, once, so a connection going back
-//! to reading costs no syscall; the listener and the wake eventfd are
-//! ONESHOT. The thread that receives a readable event locks the table, reads bytes into the connection's
-//! incremental [`FrameAssembler`] and, the moment a frame completes and
-//! its payload decodes, takes the request out as an explicit `(request,
-//! trace-context)` job — the tracer hand-off is that argument; no
-//! per-connection thread-local survives the boundary. It unlocks, runs
-//! [`FrameService::handle_traced`] itself, writes the response straight
-//! to the (non-blocking) socket, and locks again to settle the
-//! connection back to reading (or hand a short write's tail to
-//! `EPOLLOUT`). A request costs one thread wake-up — the one that
-//! delivered its readiness — and no hand-off between threads.
+//! Topology: one **reactor thread** owns the listener, an epoll set, a
+//! connection slab, and a timer wheel; a fixed **worker pool** executes
+//! only *ready, fully-framed* requests. The reactor reads bytes into the
+//! incremental [`FrameAssembler`]; the moment a frame completes and its
+//! payload decodes, the request crosses to a worker as an explicit
+//! `(request, trace-context)` job — the tracer hand-off is that argument,
+//! no per-connection thread-local survives the boundary. The worker runs
+//! [`FrameService::handle_traced`], writes the response straight to the
+//! (non-blocking) socket while the reactor ignores the connection, and
+//! posts a completion over an eventfd doorbell; the reactor finishes any
+//! short write, re-arms read interest, and the connection goes back to
+//! costing nothing.
 //!
-//! Contracts (`tests/tcp_roundtrip.rs`):
+//! Contracts preserved from the threaded server (`tests/tcp_roundtrip.rs`
+//! passes against both):
 //!
-//! * **Shed** — the slab holds [`ServerConfig::max_connections`]
-//!   connections (68 by default); one more earns the client an encoded
-//!   `Busy` frame and a close, never a silent drop.
+//! * **Shed** — the bounded accept queue's explicit `Busy` becomes a
+//!   max-connection-slots shed with the same wire behavior: a full slab
+//!   earns the client an encoded `Busy` frame and a close, never a
+//!   silent drop.
 //! * **Deadlines** — per-connection read/write deadlines live on a
 //!   hashed timer wheel; a stalled peer is closed within one tick of its
 //!   deadline and counted in `net_deadline_closed_total`.
 //! * **One request in flight per connection** — the assembler stops at
-//!   each frame boundary and nothing reads the connection while its
-//!   request executes (an edge that arrives meanwhile is owed to the
-//!   completion), so pipelined bytes wait in the backlog or the kernel.
+//!   each frame boundary and the reactor stops reading while a request
+//!   executes, so pipelined bytes sit in the kernel buffer exactly as
+//!   they would behind a blocking worker.
 //! * **Drain** — shutdown closes idle connections immediately, lets
-//!   executing requests finish and their responses flush, then joins
-//!   every thread.
+//!   queued/executing requests finish and their responses flush, then
+//!   joins every thread.
 
 use crate::assembler::FrameAssembler;
 use crate::server::{FrameService, ProtoErrorKind, ServerConfig, ServerMetrics};
 use crate::stream::write_message;
 use crate::sys::{
-    Epoll, EpollEvent, EventFd, EPOLLET, EPOLLIN, EPOLLONESHOT, EPOLLOUT, EPOLLRDHUP,
+    Epoll, EpollEvent, EventFd, EPOLLIN, EPOLLONESHOT, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::wire::{Request, Response};
+use crossbeam::channel::{Receiver, Sender};
 use orsp_obs::{Registry, TraceContext};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -57,52 +56,53 @@ use std::time::{Duration, Instant};
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Epoll cookie for the wake eventfd.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
+/// Events drained per `epoll_wait`.
+const EVENT_BATCH: usize = 256;
 /// Read chunk size. Most frames fit one chunk; larger payloads loop.
 const READ_CHUNK: usize = 16 * 1024;
-/// A connection's registration while it reads. Edge-triggered, so it
-/// stays armed across requests: returning to Reading costs no syscall.
-const READ_INTEREST: u32 = EPOLLIN | EPOLLRDHUP | EPOLLET;
-/// A connection's registration while the table flushes a response tail.
-const WRITE_INTEREST: u32 = EPOLLOUT | EPOLLET;
 
-/// One decoded request, taken out of the table to run unlocked.
+/// One decoded request on its way to a worker.
 struct Job {
     token: usize,
     gen: u64,
     stream: Arc<TcpStream>,
     request: Request,
     /// The trace context the frame arrived with — handed across the
-    /// executor boundary explicitly; threads never inherit connection
+    /// executor boundary explicitly; workers never inherit connection
     /// state through thread-locals.
     ctx: Option<TraceContext>,
 }
 
-/// An executed job, settled back into the table.
+/// What a worker reports back to the reactor.
 struct Completion {
     token: usize,
     gen: u64,
     /// The encoded response frame.
     frame: Vec<u8>,
-    /// Bytes already written before hitting `WouldBlock`.
+    /// Bytes the worker already wrote before hitting `WouldBlock`.
     written: usize,
-    /// The socket write failed; the connection closes.
+    /// The socket write failed; the reactor should close.
     failed: bool,
+    /// The worker already re-armed the connection's read interest
+    /// (full write, fast path): the reactor only settles bookkeeping
+    /// — no doorbell was rung, no epoll_ctl is owed.
+    armed: bool,
 }
 
-struct Shared {
-    epoll: Arc<Epoll>,
-    /// Rung to stop the server, and to recruit another thread when one
-    /// pass readied more than one job.
-    wake: EventFd,
+struct EvShared {
     shutdown: AtomicBool,
-    service: Arc<dyn FrameService>,
-    reactor: Mutex<Reactor>,
+    wake: EventFd,
+    /// The epoll set, shared so workers can re-arm read interest
+    /// directly after a full write (`epoll_ctl` is thread-safe).
+    epoll: Arc<Epoll>,
+    completions: Mutex<VecDeque<Completion>>,
 }
 
 /// The event-loop implementation behind [`crate::server::NetServer`].
 pub(crate) struct EventServer {
-    shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    shared: Arc<EvShared>,
+    reactor: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl EventServer {
@@ -112,40 +112,52 @@ impl EventServer {
         config: ServerConfig,
     ) -> io::Result<EventServer> {
         listener.set_nonblocking(true)?;
-        let epoll = Arc::new(Epoll::new()?);
-        let wake = EventFd::new()?;
-        epoll.add(listener.as_raw_fd(), EPOLLIN | EPOLLONESHOT, TOKEN_LISTENER)?;
-        epoll.add(wake.raw(), EPOLLIN | EPOLLONESHOT, TOKEN_WAKE)?;
         let obs = Arc::clone(service.obs());
-        let reactor = Reactor::new(listener, config, Arc::clone(&epoll), obs);
-        let shared = Arc::new(Shared {
-            epoll,
-            wake,
+        let metrics = ServerMetrics::resolve(&obs);
+        let shared = Arc::new(EvShared {
             shutdown: AtomicBool::new(false),
-            service,
-            reactor: Mutex::new(reactor),
+            wake: EventFd::new()?,
+            epoll: Arc::new(Epoll::new()?),
+            completions: Mutex::new(VecDeque::new()),
         });
-        // Built before the threads so a failed spawn drops (and joins)
-        // the ones already running.
-        let mut server = EventServer { shared, threads: Vec::new() };
-        for _ in 0..config.workers.max(1) {
-            let shared = Arc::clone(&server.shared);
-            server.threads.push(
-                std::thread::Builder::new()
-                    .name("orsp-net".into())
-                    .spawn(move || event_loop(&shared))?,
-            );
-        }
-        Ok(server)
+        let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
+
+        let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
+            .map(|_| {
+                let service = Arc::clone(&service);
+                let shared = Arc::clone(&shared);
+                let rx = job_rx.clone();
+                std::thread::spawn(move || worker_loop(&*service, &shared, &rx))
+            })
+            .collect();
+        drop(job_rx);
+
+        let reactor = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new().name("orsp-reactor".into()).spawn(move || {
+                let mut r = match Reactor::new(listener, config, shared, obs, metrics, job_tx) {
+                    Ok(r) => r,
+                    Err(_) => return,
+                };
+                r.run();
+            })?
+        };
+
+        Ok(EventServer { shared, reactor: Some(reactor), workers })
     }
 
     pub(crate) fn stop(&mut self) {
-        if self.threads.is_empty() {
+        if self.reactor.is_none() {
             return;
         }
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.wake.ring();
-        for handle in self.threads.drain(..) {
+        if let Some(handle) = self.reactor.take() {
+            let _ = handle.join();
+        }
+        // The reactor dropped the job sender on exit; workers drain and
+        // see the disconnect.
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -157,82 +169,65 @@ impl Drop for EventServer {
     }
 }
 
-/// One event-loop thread: wait for readiness, take at most one job out
-/// of the table, run it unlocked, settle it, repeat. The table is locked
-/// everywhere except around `epoll_wait` and the job's execution.
-fn event_loop(shared: &Shared) {
-    // One event per wait: each ready connection wakes its own thread.
-    let mut events = [EpollEvent { events: 0, data: 0 }; 1];
-    let mut reactor = shared.reactor.lock();
-    loop {
-        if let Some(job) = reactor.next_job(&shared.wake) {
-            drop(reactor);
-            let done = execute(&*shared.service, job);
-            reactor = shared.reactor.lock();
-            reactor.on_completion(done);
-            continue;
-        }
-        if !reactor.draining && shared.shutdown.load(Ordering::SeqCst) {
-            reactor.enter_drain();
-        }
-        if reactor.draining && reactor.open == 0 {
-            // Pass the stop on: the next waiting thread wakes, finds
-            // nothing left either, and passes it on in turn.
-            shared.wake.ring();
-            return;
-        }
-        let timeout = reactor.wheel.poll_timeout_ms(Instant::now());
-        drop(reactor);
-        let n = shared.epoll.wait(&mut events, timeout).unwrap_or(0);
-        reactor = shared.reactor.lock();
-        if n > 0 {
-            reactor.metrics.readiness_wakeups.inc();
-            let token = events[0].data;
-            match token {
-                TOKEN_LISTENER => reactor.on_listener(),
-                TOKEN_WAKE => {
-                    shared.wake.drain();
-                    let _ = shared.epoll.modify(
-                        shared.wake.raw(),
-                        EPOLLIN | EPOLLONESHOT,
-                        TOKEN_WAKE,
-                    );
+fn worker_loop(service: &dyn FrameService, shared: &EvShared, rx: &Receiver<Job>) {
+    while let Ok(job) = rx.recv() {
+        let response = service.handle_traced(job.request, job.ctx);
+        let frame = response.encode();
+        // Write directly while the reactor ignores this connection (the
+        // fd is disarmed and its timers cancelled for the whole
+        // Executing phase, so this thread is the sole writer). The
+        // common case — a small response into an empty loopback buffer —
+        // completes here; a short write hands the tail to the reactor.
+        let mut written = 0usize;
+        let mut failed = false;
+        loop {
+            if written == frame.len() {
+                break;
+            }
+            match (&*job.stream).write(&frame[written..]) {
+                Ok(0) => {
+                    failed = true;
+                    break;
                 }
-                token => reactor.on_conn(token as usize),
+                Ok(n) => written += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    failed = true;
+                    break;
+                }
             }
         }
-        for entry in reactor.wheel.expired(Instant::now()) {
-            reactor.on_deadline(entry);
+        // Fast path: the whole response reached the kernel, so this
+        // connection's next event is its next request — re-arm read
+        // interest right here and skip the doorbell. The reactor settles
+        // the bookkeeping (inflight, state, read deadline) when it next
+        // runs; it drains the completion queue on every loop pass, and
+        // the connection can't go anywhere meanwhile (the reactor never
+        // closes an Executing connection). Short or failed writes take
+        // the slow path: post and ring, the reactor owns what's left.
+        let armed = !failed
+            && written == frame.len()
+            && shared
+                .epoll
+                .modify(
+                    job.stream.as_raw_fd(),
+                    EPOLLIN | EPOLLRDHUP | EPOLLONESHOT,
+                    job.token as u64,
+                )
+                .is_ok();
+        shared.completions.lock().push_back(Completion {
+            token: job.token,
+            gen: job.gen,
+            frame,
+            written,
+            failed,
+            armed,
+        });
+        if !armed {
+            shared.wake.ring();
         }
     }
-}
-
-/// Run one request and write its response on the non-blocking socket.
-/// The connection is Executing — nothing else reads or writes it, its
-/// timers are cancelled — so this thread is the socket's sole user until
-/// the completion settles. The common case, a small response into an
-/// empty kernel buffer, completes here; a short write hands the tail to
-/// the table.
-fn execute(service: &dyn FrameService, job: Job) -> Completion {
-    let frame = service.handle_traced(job.request, job.ctx).encode();
-    let mut written = 0usize;
-    let mut failed = false;
-    while written < frame.len() {
-        match (&*job.stream).write(&frame[written..]) {
-            Ok(0) => {
-                failed = true;
-                break;
-            }
-            Ok(n) => written += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                failed = true;
-                break;
-            }
-        }
-    }
-    Completion { token: job.token, gen: job.gen, frame, written, failed }
 }
 
 // ------------------------------------------------------------- reactor
@@ -240,23 +235,16 @@ fn execute(service: &dyn FrameService, job: Job) -> Completion {
 enum ConnState {
     /// Waiting for (more of) a request frame.
     Reading,
-    /// A decoded request is queued or running on an event-loop thread.
+    /// A decoded request is queued or running on a worker.
     Executing,
-    /// Flushing a response (tail the executing thread could not write,
-    /// or a reactor-generated `Busy`/`Error`).
+    /// Flushing a response (tail the worker could not write, or a
+    /// reactor-generated `Busy`/`Error`).
     Writing,
 }
 
 struct Conn {
     stream: Arc<TcpStream>,
     state: ConnState,
-    /// The epoll registration: [`READ_INTEREST`], [`WRITE_INTEREST`], or
-    /// 0 before the first.
-    interest: u32,
-    /// Bytes may be waiting in the kernel whose readable edge is already
-    /// spent: an edge arrived while Executing, or the read that completed
-    /// the last frame filled the whole chunk. The completion reads.
-    read_owed: bool,
     asm: FrameAssembler,
     /// Bytes read past the last frame boundary (a pipelining peer);
     /// consumed before the socket when reading resumes.
@@ -268,6 +256,11 @@ struct Conn {
     /// Bumped on every timer (re-)arm and disarm; stale wheel entries
     /// carry an older value and are skipped.
     timer_gen: u64,
+    /// A readable event landed while Executing (the worker had already
+    /// re-armed read interest and the next request raced the completion
+    /// queue). Consumed — the event was ONESHOT — so the read is owed
+    /// the moment the completion settles.
+    readable_pending: bool,
 }
 
 struct TimerEntry {
@@ -328,14 +321,14 @@ impl Wheel {
     }
 }
 
-/// The connection table every event-loop thread shares (behind
-/// [`Shared::reactor`]'s mutex).
 struct Reactor {
     epoll: Arc<Epoll>,
     listener: Option<TcpListener>,
     config: ServerConfig,
+    shared: Arc<EvShared>,
     obs: Arc<Registry>,
     metrics: ServerMetrics,
+    job_tx: Sender<Job>,
     slab: Vec<Option<Conn>>,
     /// Per-slot generation, bumped on every close so stale completions
     /// and timer entries cannot touch a reused slot.
@@ -343,8 +336,12 @@ struct Reactor {
     free: Vec<usize>,
     open: usize,
     high_water: usize,
-    /// Decoded requests waiting for a thread (usually zero or one).
-    ready: VecDeque<Job>,
+    inflight: usize,
+    /// Connections whose ONESHOT readable event was consumed while they
+    /// were still Executing: their completion is owed within microseconds
+    /// (the worker pushes right after arming), so the next `epoll_wait`
+    /// keeps a 1ms leash instead of sleeping a full wheel tick.
+    readable_hint: usize,
     /// Reusable read buffer — `pump_read` takes it for the duration of a
     /// read burst instead of zeroing a fresh `READ_CHUNK` on every call.
     /// A nested `pump_read` (shed-response flush draining backlog) finds
@@ -358,38 +355,85 @@ impl Reactor {
     fn new(
         listener: TcpListener,
         config: ServerConfig,
-        epoll: Arc<Epoll>,
+        shared: Arc<EvShared>,
         obs: Arc<Registry>,
-    ) -> Reactor {
-        let metrics = ServerMetrics::resolve(&obs);
-        let slots = config.max_connections;
-        Reactor {
+        metrics: ServerMetrics,
+        job_tx: Sender<Job>,
+    ) -> io::Result<Reactor> {
+        let epoll = Arc::clone(&shared.epoll);
+        epoll.add(listener.as_raw_fd(), EPOLLIN | EPOLLONESHOT, TOKEN_LISTENER)?;
+        epoll.add(shared.wake.raw(), EPOLLIN | EPOLLONESHOT, TOKEN_WAKE)?;
+        let slots = config.effective_max_connections();
+        let wheel = Wheel::new(config.read_timeout, config.write_timeout);
+        Ok(Reactor {
             epoll,
             listener: Some(listener),
             config,
+            shared,
             obs,
             metrics,
+            job_tx,
             slab: (0..slots).map(|_| None).collect(),
             slot_gens: vec![0; slots],
             free: (0..slots).rev().collect(),
             open: 0,
             high_water: 0,
-            ready: VecDeque::new(),
+            inflight: 0,
+            readable_hint: 0,
             read_buf: vec![0u8; READ_CHUNK],
-            wheel: Wheel::new(config.read_timeout, config.write_timeout),
+            wheel,
             draining: false,
+        })
+    }
+
+    fn run(&mut self) {
+        let mut events = [EpollEvent { events: 0, data: 0 }; EVENT_BATCH];
+        loop {
+            // Completions drain on every pass, not only on the doorbell:
+            // a worker that fully wrote its response re-arms the socket
+            // itself and posts without ringing.
+            self.drain_completions();
+            if !self.draining && self.shared.shutdown.load(Ordering::SeqCst) {
+                self.enter_drain();
+            }
+            if self.draining && self.open == 0 && self.inflight == 0 {
+                return;
+            }
+            let timeout = if self.readable_hint > 0 {
+                1 // a completion is owed momentarily; don't oversleep it
+            } else {
+                self.wheel.poll_timeout_ms(Instant::now())
+            };
+            let n = match self.epoll.wait(&mut events, timeout) {
+                Ok(n) => n,
+                Err(_) => continue,
+            };
+            if n > 0 {
+                self.metrics.readiness_wakeups.inc();
+            }
+            for ev in &events[..n] {
+                let (token, mask) = ({ ev.data }, { ev.events });
+                match token {
+                    TOKEN_LISTENER => self.on_listener(),
+                    TOKEN_WAKE => self.on_wake(),
+                    _ => self.on_conn(token as usize, mask),
+                }
+            }
+            // Drain again before timers: a readable event consumed while
+            // its connection was Executing resolves here, as soon as the
+            // worker's unrung completion lands.
+            self.drain_completions();
+            for entry in self.wheel.expired(Instant::now()) {
+                self.on_deadline(entry);
+            }
         }
     }
 
-    /// The next job for the calling thread. If more remain (one pass
-    /// readied several connections), ring `wake` so a waiting thread
-    /// comes to take the next one.
-    fn next_job(&mut self, wake: &EventFd) -> Option<Job> {
-        let job = self.ready.pop_front();
-        if !self.ready.is_empty() {
-            wake.ring();
+    fn drain_completions(&mut self) {
+        loop {
+            let Some(done) = self.shared.completions.lock().pop_front() else { break };
+            self.on_completion(done);
         }
-        job
     }
 
     // ------------------------------------------------------------ accept
@@ -398,7 +442,12 @@ impl Reactor {
         loop {
             let Some(listener) = self.listener.as_ref() else { return };
             match listener.accept() {
-                Ok((stream, peer)) => self.admit(stream, peer),
+                Ok((stream, peer)) => {
+                    if self.shared.shutdown.load(Ordering::SeqCst) {
+                        return; // drain is imminent; the listener is about to drop
+                    }
+                    self.admit(stream, peer);
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(_) => break,
             }
@@ -414,7 +463,8 @@ impl Reactor {
 
     fn admit(&mut self, stream: TcpStream, peer: SocketAddr) {
         let Some(token) = self.free.pop() else {
-            // Slab full: the explicit load shed.
+            // Slab full: the explicit load shed, same wire behavior as
+            // the threaded server's full accept queue.
             self.shed(stream, peer);
             return;
         };
@@ -434,8 +484,6 @@ impl Reactor {
         self.slab[token] = Some(Conn {
             stream: Arc::new(stream),
             state: ConnState::Reading,
-            interest: 0,
-            read_owed: false,
             asm: FrameAssembler::new(),
             backlog: Vec::new(),
             out: Vec::new(),
@@ -443,6 +491,7 @@ impl Reactor {
             close_after_write: false,
             gen,
             timer_gen: 0,
+            readable_pending: false,
         });
         // Drain anything already buffered, then arm read interest.
         self.pump_read(token);
@@ -455,33 +504,63 @@ impl Reactor {
         let _ = write_message(&mut stream, &Response::Busy.encode());
     }
 
-    // -------------------------------------------------------- completion
+    // ------------------------------------------------------------- wake
+
+    fn on_wake(&mut self) {
+        self.shared.wake.drain();
+        let _ = self.epoll.modify(self.shared.wake.raw(), EPOLLIN | EPOLLONESHOT, TOKEN_WAKE);
+        self.drain_completions();
+    }
 
     fn on_completion(&mut self, done: Completion) {
-        let draining = self.draining;
-        let Some(conn) = self.conn_mut(done.token, done.gen) else { return };
-        debug_assert!(matches!(conn.state, ConnState::Executing));
-        if done.failed || (draining && done.written == done.frame.len()) {
+        self.inflight -= 1;
+        // Settle any readable event that raced this completion, whatever
+        // branch runs below: the slow paths read after flushing anyway,
+        // and `close` must not double-count the hint.
+        let owed_read = {
+            let Some(conn) = self.conn_mut(done.token, done.gen) else { return };
+            debug_assert!(matches!(conn.state, ConnState::Executing));
+            std::mem::take(&mut conn.readable_pending)
+        };
+        if owed_read {
+            self.readable_hint -= 1;
+        }
+        if done.failed {
             self.close(done.token);
             return;
         }
-        if done.written < done.frame.len() {
-            // Short write: the table owns the tail.
-            conn.out = done.frame;
-            conn.out_off = done.written;
-            conn.state = ConnState::Writing;
-            self.arm_write(done.token);
+        if done.armed {
+            // Fast path: the worker flushed the whole response and
+            // re-armed read interest itself; only bookkeeping is left.
+            if self.draining {
+                self.close(done.token);
+                return;
+            }
+            let timeout = self.config.read_timeout;
+            let conn = self.slab[done.token].as_mut().expect("checked above");
+            conn.state = ConnState::Reading;
+            conn.out = Vec::new();
+            conn.out_off = 0;
+            let has_backlog = !conn.backlog.is_empty();
+            self.wheel.arm(done.token, conn, timeout);
+            // The consumed ONESHOT event (or a pipelining peer's stashed
+            // backlog) means bytes are owed a read right now; otherwise
+            // the armed fd sleeps until the next request.
+            if owed_read || has_backlog {
+                self.pump_read(done.token);
+            }
             return;
         }
-        // The whole response reached the kernel. Stashed backlog or an
-        // owed read is served now; otherwise the still-armed fd sleeps
-        // until the next request's edge.
-        conn.state = ConnState::Reading;
-        if std::mem::take(&mut conn.read_owed) || !conn.backlog.is_empty() {
-            self.pump_read(done.token);
-        } else {
-            self.arm_read(done.token);
+        if done.written == done.frame.len() {
+            self.response_flushed(done.token);
+            return;
         }
+        // Short write: the reactor owns the tail.
+        let conn = self.slab[done.token].as_mut().expect("checked above");
+        conn.out = done.frame;
+        conn.out_off = done.written;
+        conn.state = ConnState::Writing;
+        self.arm_write(done.token);
     }
 
     // ------------------------------------------------------------- conns
@@ -493,14 +572,21 @@ impl Reactor {
         }
     }
 
-    fn on_conn(&mut self, token: usize) {
+    fn on_conn(&mut self, token: usize, _mask: u32) {
         let Some(conn) = self.slab.get_mut(token).and_then(Option::as_mut) else { return };
         match conn.state {
             ConnState::Reading => self.pump_read(token),
             ConnState::Writing => self.pump_write(token),
-            // A pipelining peer's next request, or a hangup, while this
-            // one still runs: the edge is spent, so the completion reads.
-            ConnState::Executing => conn.read_owed = true,
+            // The worker re-armed this fd after its full write and the
+            // next request (or a hangup) beat the completion queue here.
+            // The ONESHOT event is consumed — note the debt; the read
+            // happens the moment the completion settles.
+            ConnState::Executing => {
+                if !conn.readable_pending {
+                    conn.readable_pending = true;
+                    self.readable_hint += 1;
+                }
+            }
         }
     }
 
@@ -534,7 +620,6 @@ impl Reactor {
                 Some(c) => c,
                 None => break,
             };
-            conn.read_owed = false;
             let n = match (&*conn.stream).read(&mut buf) {
                 Ok(0) => {
                     if conn.asm.at_boundary() {
@@ -553,7 +638,8 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    // Reset/teardown: the error itself closes.
+                    // Reset/teardown: the deadline did its job in the
+                    // threaded server; here the error itself closes.
                     self.close(token);
                     break;
                 }
@@ -561,16 +647,7 @@ impl Reactor {
             };
             match self.feed(token, &buf[..n]) {
                 Feed::Continue => {}
-                Feed::Done => {
-                    // A full chunk may have left bytes in the kernel, and
-                    // their edge is spent.
-                    if n == buf.len() {
-                        if let Some(conn) = self.slab.get_mut(token).and_then(Option::as_mut) {
-                            conn.read_owed = true;
-                        }
-                    }
-                    break;
-                }
+                Feed::Done => break,
             }
         }
         self.read_buf = buf;
@@ -601,7 +678,7 @@ impl Reactor {
                     self.metrics.protocol_error((&e).into());
                     self.obs.event("protocol_error", e.to_string());
                     let reply = Response::Error { detail: e.to_string() };
-                    self.respond(token, reply, true);
+                    self.respond_and_close(token, reply);
                     return Feed::Done;
                 }
             }
@@ -616,17 +693,23 @@ impl Reactor {
                 let conn = self.slab[token].as_mut().expect("dispatch on live conn");
                 conn.state = ConnState::Executing;
                 conn.timer_gen += 1; // no deadline while executing
-                self.ready.push_back(Job {
+                self.inflight += 1;
+                let job = Job {
                     token,
                     gen: conn.gen,
                     stream: Arc::clone(&conn.stream),
                     request,
                     ctx,
-                });
+                };
+                if self.job_tx.send(job).is_err() {
+                    self.inflight -= 1;
+                    self.close(token);
+                }
             }
             Err(e) => {
                 // A sound frame with an unusable payload: per-request
-                // error, the connection survives.
+                // error, the connection survives (matching the threaded
+                // server).
                 self.metrics.protocol_error((&e).into());
                 self.obs.event("protocol_error", e.to_string());
                 self.respond(token, Response::Error { detail: e.to_string() }, false);
@@ -643,6 +726,10 @@ impl Reactor {
         conn.state = ConnState::Writing;
         conn.timer_gen += 1;
         self.pump_write(token);
+    }
+
+    fn respond_and_close(&mut self, token: usize, response: Response) {
+        self.respond(token, response, true);
     }
 
     fn pump_write(&mut self, token: usize) {
@@ -691,31 +778,33 @@ impl Reactor {
     // ----------------------------------------------------- timers/close
 
     fn arm_read(&mut self, token: usize) {
-        self.arm(token, READ_INTEREST, self.config.read_timeout);
+        let timeout = self.config.read_timeout;
+        let Some(conn) = self.slab.get_mut(token).and_then(Option::as_mut) else { return };
+        let fd = conn.stream.as_raw_fd();
+        let gen_entry = token as u64;
+        self.wheel.arm(token, conn, timeout);
+        if self
+            .epoll
+            .modify(fd, EPOLLIN | EPOLLRDHUP | EPOLLONESHOT, gen_entry)
+            .is_err()
+        {
+            // First arm for this fd.
+            if self.epoll.add(fd, EPOLLIN | EPOLLRDHUP | EPOLLONESHOT, gen_entry).is_err() {
+                self.close(token);
+            }
+        }
     }
 
     fn arm_write(&mut self, token: usize) {
-        self.arm(token, WRITE_INTEREST, self.config.write_timeout);
-    }
-
-    /// Start the connection's deadline and register `interest`. Only a
-    /// change of interest costs an `epoll_ctl`: the edge-triggered
-    /// registration outlives each request.
-    fn arm(&mut self, token: usize, interest: u32, timeout: Duration) {
+        let timeout = self.config.write_timeout;
         let Some(conn) = self.slab.get_mut(token).and_then(Option::as_mut) else { return };
-        self.wheel.arm(token, conn, timeout);
-        if conn.interest == interest {
-            return;
-        }
         let fd = conn.stream.as_raw_fd();
-        let registered = if conn.interest == 0 {
-            self.epoll.add(fd, interest, token as u64)
-        } else {
-            self.epoll.modify(fd, interest, token as u64)
-        };
-        conn.interest = interest;
-        if registered.is_err() {
-            self.close(token);
+        let gen_entry = token as u64;
+        self.wheel.arm(token, conn, timeout);
+        if self.epoll.modify(fd, EPOLLOUT | EPOLLONESHOT, gen_entry).is_err() {
+            if self.epoll.add(fd, EPOLLOUT | EPOLLONESHOT, gen_entry).is_err() {
+                self.close(token);
+            }
         }
     }
 
@@ -725,7 +814,7 @@ impl Reactor {
             return; // re-armed or state-changed since; stale entry
         }
         if matches!(conn.state, ConnState::Executing) {
-            return; // execution has no deadline
+            return; // execution has no deadline (parity with threaded)
         }
         self.metrics.deadline_closed.inc();
         self.obs.event("deadline_closed", "connection deadline expired".to_string());
@@ -734,13 +823,16 @@ impl Reactor {
 
     fn close(&mut self, token: usize) {
         let Some(conn) = self.slab.get_mut(token).and_then(Option::take) else { return };
+        if conn.readable_pending {
+            self.readable_hint -= 1;
+        }
         let _ = self.epoll.delete(conn.stream.as_raw_fd());
         self.slot_gens[token] = self.slot_gens[token].wrapping_add(1);
         // A reused slot must hand out the bumped generation.
         self.free.push(token);
         self.open -= 1;
         self.metrics.open_connections.set(self.open as i64);
-        // Dropping `conn` closes the socket once an executing thread
+        // Dropping `conn` closes the socket once any executing worker
         // drops its clone of the stream handle.
     }
 

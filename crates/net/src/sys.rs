@@ -41,8 +41,6 @@ pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
 /// Disarm the fd after delivering one event; re-arm with `modify`.
 pub const EPOLLONESHOT: u32 = 1 << 30;
-/// Edge-triggered: report a readiness change once, not while it lasts.
-pub const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;

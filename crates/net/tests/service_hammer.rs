@@ -512,14 +512,16 @@ fn tcp_hammer_sheds_nothing_below_saturation() {
         })
         .collect();
 
-    // "Below saturation" = the offered load fits: one worker and more
-    // than one connection slot per concurrent client, so the initial
-    // connect burst never sheds.
+    // "Below saturation" = the offered load fits: one worker per
+    // concurrent connection, and enough queue for the initial connect
+    // burst (all six clients connect before the workers have drained
+    // the accept queue — without headroom the burst itself would shed).
     let config = ServerConfig {
         workers: UPLOADERS + 2,
-        max_connections: 2 * (UPLOADERS + 2),
+        queue_depth: UPLOADERS + 2,
         read_timeout: Duration::from_secs(5),
         write_timeout: Duration::from_secs(5),
+        ..ServerConfig::default()
     };
     let server =
         NetServer::bind("127.0.0.1:0", service.clone(), config).expect("bind");

@@ -128,17 +128,19 @@ fn saturated_server_sheds_with_busy_not_silence() {
     let service = test_service();
     let config = ServerConfig {
         workers: 1,
-        max_connections: 2,
-        // Short read deadline so the pinned connections free a slot well
-        // inside the patient client's retry budget.
+        queue_depth: 1,
+        // Short read deadline so the pinned connections free the worker
+        // well inside the patient client's retry budget.
         read_timeout: Duration::from_millis(700),
         write_timeout: Duration::from_millis(700),
+        ..ServerConfig::default()
     };
     let server = NetServer::bind("127.0.0.1:0", service, config).expect("bind");
     let addr = server.local_addr();
 
-    // Pin both connection slots with idle connections. Short sleeps let
-    // the server accept each one before the next arrives.
+    // Pin the lone worker with an idle connection, then park a second in
+    // the queue. Short sleeps let the acceptor hand each one off before
+    // the next arrives.
     let pin_worker = TcpStream::connect(addr).expect("pin connection");
     std::thread::sleep(Duration::from_millis(150));
     let fill_queue = TcpStream::connect(addr).expect("queue connection");
@@ -154,7 +156,7 @@ fn saturated_server_sheds_with_busy_not_silence() {
     assert!(server.stats().shed >= 1, "shed counter records the Busy");
 
     // With retries enabled the client rides out the saturation window:
-    // the pinned connections idle out (read deadline) and free a slot.
+    // the pinned connections idle out (read deadline) and free the worker.
     let patient = ClientConfig {
         max_retries: 8,
         backoff_base: Duration::from_millis(50),
@@ -249,9 +251,10 @@ fn shutdown_drains_and_joins() {
     let service = test_service();
     let config = ServerConfig {
         workers: 2,
-        max_connections: 6,
+        queue_depth: 4,
         read_timeout: Duration::from_millis(500),
         write_timeout: Duration::from_millis(500),
+        ..ServerConfig::default()
     };
     let server = NetServer::bind("127.0.0.1:0", service, config).expect("bind");
     let addr = server.local_addr();

@@ -23,8 +23,13 @@ cargo test -q --release -p orsp-net --test frame_reassembly
 cargo test -q --release -p orsp-net --test tcp_roundtrip
 cargo test -q --release -p orsp-core --test net_end_to_end
 
+echo "== net integration again on the threaded transport (same contract, fallback code path) =="
+ORSP_NET_TRANSPORT=threaded cargo test -q --release -p orsp-net --test tcp_roundtrip
+ORSP_NET_TRANSPORT=threaded cargo test -q --release -p orsp-core --test net_end_to_end
+
 echo "== service concurrency (domain locks: hammer, shard routing; debug build carries the lock-order assertion) =="
 cargo test -q --release -p orsp-net --test service_hammer
+ORSP_NET_TRANSPORT=threaded cargo test -q --release -p orsp-net --test service_hammer
 cargo test -q -p orsp-net --test service_hammer
 cargo test -q -p orsp-server lockorder
 
@@ -73,12 +78,12 @@ echo "== recorded trace overhead stays under the 3% gate at 1% sampling =="
 test -f results/BENCH_trace_overhead.json
 grep -q '"one_pct_overhead_below_3pct": true' results/BENCH_trace_overhead.json
 
-echo "== recorded idle-fleet result: reactor holds 5000 idle connections (> the 68-slot default) at workers=4 with zero sheds; best-of-3 closed loop >= 90% of the recorded threaded median =="
-# The fleet phase + best-of-3 closed loop takes ~30s; CI checks the
+echo "== recorded idle-fleet result: reactor holds 5000 idle connections at workers=4 with zero sheds, within 10% of threaded closed-loop throughput =="
+# The fleet phase + best-of-3 closed loop takes ~2 min; CI checks the
 # recorded result (regenerate with: cargo run --release -p orsp-bench --bin idle_fleet).
 test -f results/BENCH_idle_fleet.json
-grep -q '"fleet_gate_ok": true' results/BENCH_idle_fleet.json
-grep -q '"throughput_gate": "pass"' results/BENCH_idle_fleet.json
+grep -q '"idle_fleet_gate_ok": true' results/BENCH_idle_fleet.json
+grep -q '"throughput_within_10pct": true' results/BENCH_idle_fleet.json
 
 echo "== recorded service-contention result exists with an overlapping upload stream =="
 # (regenerate with: cargo run --release -p orsp-bench --bin service_contention)
