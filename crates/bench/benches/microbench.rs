@@ -26,19 +26,19 @@ fn bench_sha256(c: &mut Criterion) {
 fn bench_bigint(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let kp = RsaKeyPair::generate(&mut rng, 256);
-    let m = BigUint::random_below(&mut rng, &kp.public.n);
+    let m = BigUint::random_below(&mut rng, kp.public.n());
     c.bench_function("rsa256_modpow_public", |b| {
         b.iter(|| kp.public.apply(black_box(&m)))
     });
     c.bench_function("rsa256_modpow_private", |b| {
         b.iter(|| kp.apply_private(black_box(&m)))
     });
-    let n2 = kp.public.n.mul(&kp.public.n);
+    let n2 = kp.public.n().mul(kp.public.n());
     c.bench_function("bigint_div_rem_512_by_256", |b| {
-        b.iter(|| n2.div_rem(black_box(&kp.public.n)))
+        b.iter(|| n2.div_rem(black_box(kp.public.n())))
     });
     c.bench_function("bigint_mod_inverse_odd_256", |b| {
-        b.iter(|| m.mod_inverse(black_box(&kp.public.n)))
+        b.iter(|| m.mod_inverse(black_box(kp.public.n())))
     });
 }
 

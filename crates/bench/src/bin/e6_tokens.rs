@@ -91,7 +91,7 @@ fn main() {
     for i in 0..200u64 {
         let token = Token {
             message: [(i % 251) as u8; 32],
-            signature: BigUint::random_below(&mut rng, &key.n),
+            signature: BigUint::random_below(&mut rng, key.n()),
         };
         let forged = upload(n_tokens + i, token);
         if !rejected_as(ingest.ingest(&forged, &key), RejectReason::BadToken) {

@@ -1,11 +1,14 @@
 //! Arbitrary-precision unsigned integers.
 //!
 //! A deliberately small big-integer: little-endian `u64` limbs, schoolbook
-//! multiplication, shift-subtract division, square-and-multiply modular
-//! exponentiation, and an extended-Euclid modular inverse. RSA at the
-//! simulation-grade key sizes used here (512–1024 bits) needs nothing
-//! fancier, and simplicity-over-cleverness is the house style (cf. the
-//! smoltcp design notes in the networking guides).
+//! multiplication and Knuth Algorithm D division. Odd moduli (every RSA
+//! modulus and prime) get Montgomery arithmetic: a CIOS multiply into
+//! fixed scratch limbs and fixed-window exponentiation, plus an in-place
+//! binary extended-GCD inverse. Even moduli keep square-and-multiply and
+//! the signed extended Euclid. RSA at the simulation-grade key sizes used
+//! here (256–512 bits) needs nothing fancier, and simplicity over
+//! cleverness is the house style (cf. the smoltcp design notes in the
+//! networking guides).
 
 use rand::Rng;
 use std::cmp::Ordering;
@@ -111,6 +114,15 @@ impl BigUint {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();
         }
+    }
+
+    /// From little-endian limbs (trailing zeros allowed).
+    fn from_limbs(limbs: &[u64]) -> BigUint {
+        let mut n = BigUint {
+            limbs: limbs.to_vec(),
+        };
+        n.normalize();
+        n
     }
 
     /// Addition.
@@ -362,12 +374,22 @@ impl BigUint {
         self.mul(other).rem(modulus)
     }
 
-    /// Modular exponentiation by square-and-multiply.
+    /// Modular exponentiation. Odd moduli take Montgomery multiplication
+    /// with fixed windows; even ones square-and-multiply.
     pub fn mod_pow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "mod_pow with zero modulus");
         if modulus.is_one() {
             return BigUint::zero();
         }
+        if modulus.is_even() {
+            return self.mod_pow_plain(exponent, modulus);
+        }
+        Montgomery::new(modulus).pow(self, exponent)
+    }
+
+    /// Square-and-multiply over [`Self::mul_mod`], for even moduli
+    /// `> 1` (no RSA modulus or prime is one).
+    fn mod_pow_plain(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         let mut result = BigUint::one();
         let mut base = self.rem(modulus);
         for i in 0..exponent.bit_len() {
@@ -394,16 +416,57 @@ impl BigUint {
     /// Modular inverse of `self` modulo `m`, or `None` if not coprime.
     ///
     /// Odd moduli (every RSA modulus and prime) take the binary
-    /// extended-GCD path — shifts and additions only, no division, which
-    /// makes the per-token blinding step cheap. Even moduli fall back to
-    /// the classic extended Euclid with signed Bézout tracking.
+    /// extended GCD, in place over four fixed-width registers: shifts and
+    /// additions only, no division, which makes the per-token blinding
+    /// step cheap. Even moduli use the signed extended Euclid.
     pub fn mod_inverse(&self, m: &BigUint) -> Option<BigUint> {
         if m.is_zero() || m.is_one() {
             return None;
         }
-        if !m.is_even() {
-            return self.mod_inverse_odd(m);
+        if m.is_even() {
+            return self.mod_inverse_euclid(m);
         }
+        let k = m.limbs.len();
+        // Registers u, v (the gcd pair) and x1, x2 (kept in [0, m)) with
+        // x1·self ≡ u and x2·self ≡ v (mod m) throughout.
+        let mut regs = vec![0u64; 4 * k];
+        let (u, rest) = regs.split_at_mut(k);
+        let (v, rest) = rest.split_at_mut(k);
+        let (x1, x2) = rest.split_at_mut(k);
+        load_reduced(self, m, u);
+        v.copy_from_slice(&m.limbs);
+        x1[0] = 1;
+        loop {
+            if is_one(u) {
+                return Some(BigUint::from_limbs(x1));
+            }
+            if is_one(v) {
+                return Some(BigUint::from_limbs(x2));
+            }
+            if is_zero(u) {
+                // u reached v: gcd(self, m) = v > 1, no inverse.
+                return None;
+            }
+            while u[0] & 1 == 0 {
+                shr1(u, false);
+                half_mod(x1, &m.limbs);
+            }
+            while v[0] & 1 == 0 {
+                shr1(v, false);
+                half_mod(x2, &m.limbs);
+            }
+            if less(u, v) {
+                sub_assign(v, u);
+                sub_mod(x2, x1, &m.limbs);
+            } else {
+                sub_assign(u, v);
+                sub_mod(x1, x2, &m.limbs);
+            }
+        }
+    }
+
+    /// Extended Euclid with signed Bézout tracking, for any modulus `> 1`.
+    fn mod_inverse_euclid(&self, m: &BigUint) -> Option<BigUint> {
         let mut r0 = m.clone();
         let mut r1 = self.rem(m);
         // t0, t1 are Bézout coefficients as (negative?, magnitude).
@@ -425,62 +488,6 @@ impl BigUint {
         // Reduce t0 into [0, m).
         let mag = t0.1.rem(m);
         Some(if t0.0 && !mag.is_zero() { m.sub(&mag) } else { mag })
-    }
-
-    /// Binary extended GCD inversion for odd `m`.
-    fn mod_inverse_odd(&self, m: &BigUint) -> Option<BigUint> {
-        debug_assert!(!m.is_even() && !m.is_one() && !m.is_zero());
-        let a = self.rem(m);
-        if a.is_zero() {
-            return None;
-        }
-        // Halve x modulo the odd m: x/2 if even, (x+m)/2 otherwise.
-        let half_mod = |x: BigUint| -> BigUint {
-            if x.is_even() {
-                x.shr(1)
-            } else {
-                x.add(m).shr(1)
-            }
-        };
-        let mut u = a;
-        let mut v = m.clone();
-        let mut x1 = BigUint::one();
-        let mut x2 = BigUint::zero();
-        while !u.is_one() && !v.is_one() {
-            if u.is_zero() || v.is_zero() {
-                // gcd(a, m) > 1 — no inverse.
-                return None;
-            }
-            while u.is_even() {
-                u = u.shr(1);
-                x1 = half_mod(x1);
-            }
-            while v.is_even() {
-                v = v.shr(1);
-                x2 = half_mod(x2);
-            }
-            if u.cmp_big(&v) != Ordering::Less {
-                u = u.sub(&v);
-                // x1 = (x1 - x2) mod m
-                x1 = match x1.checked_sub(&x2) {
-                    Some(d) => d,
-                    None => x1.add(m).sub(&x2),
-                };
-            } else {
-                v = v.sub(&u);
-                x2 = match x2.checked_sub(&x1) {
-                    Some(d) => d,
-                    None => x2.add(m).sub(&x1),
-                };
-            }
-        }
-        if u.is_one() {
-            Some(x1.rem(m))
-        } else if v.is_one() {
-            Some(x2.rem(m))
-        } else {
-            None
-        }
     }
 
     /// Uniform random value in `[0, bound)`. Panics if `bound` is zero.
@@ -519,6 +526,229 @@ impl BigUint {
         assert!(bits >= 1);
         let n = Self::random_bits(rng, bits);
         n.set_bit(bits - 1)
+    }
+}
+
+/// Montgomery arithmetic modulo a fixed odd `n > 1` of `k` limbs, with
+/// `R = 2^(64k)`. A value `x` is held in Montgomery form `x·R mod n`, where
+/// a product needs no division: [`Self::mul_into`] folds the reduction
+/// into the multiply (CIOS, Koç et al. 1996) over `k + 2` scratch limbs.
+/// Build one per modulus and reuse it; RSA keys cache theirs.
+#[derive(Debug, Clone)]
+pub(crate) struct Montgomery {
+    n: BigUint,
+    /// `-n⁻¹ mod 2⁶⁴`.
+    n0_inv: u64,
+    /// `R² mod n`, padded to `k` limbs: one product by it enters
+    /// Montgomery form.
+    r2: Vec<u64>,
+}
+
+impl Montgomery {
+    /// The context for modulus `n`. Panics unless `n` is odd and `> 1`.
+    pub(crate) fn new(n: &BigUint) -> Self {
+        assert!(!n.is_even() && !n.is_one(), "modulus must be odd and > 1");
+        let k = n.limbs.len();
+        // Newton's step doubles the correct low bits of n⁻¹ mod 2⁶⁴:
+        // 1 → 2 → 4 → … → 64 in six steps.
+        let n0 = n.limbs[0];
+        let mut inv = 1u64;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
+        }
+        let mut r2 = vec![0u64; k];
+        load_reduced(&BigUint::one().shl(128 * k), n, &mut r2);
+        Montgomery {
+            n: n.clone(),
+            n0_inv: inv.wrapping_neg(),
+            r2,
+        }
+    }
+
+    /// The modulus.
+    pub(crate) fn modulus(&self) -> &BigUint {
+        &self.n
+    }
+
+    /// `t[..k] = a·b·R⁻¹ mod n` for `a, b < n` of `k` limbs; `t` holds
+    /// `k + 2` limbs. No allocation.
+    fn mul_into(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        let n = &self.n.limbs[..];
+        let k = n.len();
+        let (a, b, t) = (&a[..k], &b[..k], &mut t[..k + 2]);
+        t.fill(0);
+        for &ai in a {
+            // t += ai·b
+            let mut carry = 0;
+            for j in 0..k {
+                (t[j], carry) = mac(t[j], ai, b[j], carry);
+            }
+            let (s, c) = t[k].overflowing_add(carry);
+            t[k] = s;
+            t[k + 1] = c as u64;
+            // t = (t + m·n) / 2⁶⁴, with m chosen so the low limb cancels.
+            let m = t[0].wrapping_mul(self.n0_inv);
+            let (_, mut carry) = mac(t[0], m, n[0], 0);
+            for j in 1..k {
+                (t[j - 1], carry) = mac(t[j], m, n[j], carry);
+            }
+            let (s, c) = t[k].overflowing_add(carry);
+            t[k - 1] = s;
+            t[k] = t[k + 1] + c as u64;
+        }
+        // t < 2n, so one conditional subtraction lands in [0, n).
+        if t[k] != 0 || !less(&t[..k], n) {
+            sub_assign(&mut t[..k], n);
+        }
+    }
+
+    /// `base^exp mod n` by fixed-window exponentiation: 4-bit windows
+    /// over a table of `base^1..base^15`, or plain square-and-multiply
+    /// for exponents of at most 32 bits (such as `e = 65537`), where the
+    /// table would cost more than it saves. One scratch allocation per
+    /// call; none in the loop.
+    pub(crate) fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let bits = exp.bit_len();
+        if bits == 0 {
+            return BigUint::one();
+        }
+        let k = self.n.limbs.len();
+        let w = if bits <= 32 { 1 } else { 4 };
+        // table[i] = base^(i+1)·R, then the accumulator, then the scratch.
+        let entries = (1usize << w) - 1;
+        let mut buf = vec![0u64; entries * k + k + k + 2];
+        let (table, rest) = buf.split_at_mut(entries * k);
+        let (acc, t) = rest.split_at_mut(k);
+        load_reduced(base, &self.n, acc);
+        self.mul_into(acc, &self.r2, t);
+        table[..k].copy_from_slice(&t[..k]);
+        for i in 1..entries {
+            let (done, next) = table.split_at_mut(i * k);
+            self.mul_into(&done[(i - 1) * k..], &done[..k], t);
+            next[..k].copy_from_slice(&t[..k]);
+        }
+        let digit = |i: usize| (0..w).fold(0, |d, b| d | (exp.bit(i * w + b) as usize) << b);
+        let digits = bits.div_ceil(w);
+        // The top digit holds the exponent's top bit, so it is nonzero.
+        let top = digit(digits - 1);
+        acc.copy_from_slice(&table[(top - 1) * k..top * k]);
+        for i in (0..digits - 1).rev() {
+            for _ in 0..w {
+                self.mul_into(acc, acc, t);
+                acc.copy_from_slice(&t[..k]);
+            }
+            let d = digit(i);
+            if d != 0 {
+                self.mul_into(acc, &table[(d - 1) * k..d * k], t);
+                acc.copy_from_slice(&t[..k]);
+            }
+        }
+        // Leave Montgomery form: one product by plain 1.
+        let one = &mut table[..k];
+        one.fill(0);
+        one[0] = 1;
+        self.mul_into(acc, one, t);
+        BigUint::from_limbs(&t[..k])
+    }
+
+    /// `a·b mod n`, for any `a` and `b`: two Montgomery products, the
+    /// second by `R²` to cancel the first's `R⁻¹`.
+    pub(crate) fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        let k = self.n.limbs.len();
+        let mut buf = vec![0u64; k + k + k + 2];
+        let (x, rest) = buf.split_at_mut(k);
+        let (y, t) = rest.split_at_mut(k);
+        load_reduced(a, &self.n, x);
+        load_reduced(b, &self.n, y);
+        self.mul_into(x, y, t);
+        x.copy_from_slice(&t[..k]);
+        self.mul_into(x, &self.r2, t);
+        BigUint::from_limbs(&t[..k])
+    }
+}
+
+/// Write `x mod m` into `out` (`m`'s limb count), zero-padded; divides
+/// only when `x >= m`.
+fn load_reduced(x: &BigUint, m: &BigUint, out: &mut [u64]) {
+    out.fill(0);
+    if x.cmp_big(m) == Ordering::Less {
+        out[..x.limbs.len()].copy_from_slice(&x.limbs);
+    } else {
+        let r = x.rem(m);
+        out[..r.limbs.len()].copy_from_slice(&r.limbs);
+    }
+}
+
+/// `t + a·b + carry` as (low, high) limbs; cannot overflow 128 bits.
+#[inline(always)]
+fn mac(t: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let s = t as u128 + a as u128 * b as u128 + carry as u128;
+    (s as u64, (s >> 64) as u64)
+}
+
+/// `a < b` over equal-width limb slices.
+fn less(a: &[u64], b: &[u64]) -> bool {
+    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
+        if x != y {
+            return x < y;
+        }
+    }
+    false
+}
+
+fn is_zero(a: &[u64]) -> bool {
+    a.iter().all(|&l| l == 0)
+}
+
+fn is_one(a: &[u64]) -> bool {
+    a[0] == 1 && is_zero(&a[1..])
+}
+
+/// `a += b` over equal widths; returns the carry out.
+fn add_assign(a: &mut [u64], b: &[u64]) -> bool {
+    let mut carry = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (s1, c1) = x.overflowing_add(y);
+        let (s2, c2) = s1.overflowing_add(carry as u64);
+        *x = s2;
+        carry = c1 | c2;
+    }
+    carry
+}
+
+/// `a -= b` over equal widths, wrapping; returns the borrow out.
+fn sub_assign(a: &mut [u64], b: &[u64]) -> bool {
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d1, b1) = x.overflowing_sub(y);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *x = d2;
+        borrow = b1 | b2;
+    }
+    borrow
+}
+
+/// `a >>= 1`, shifting `top` in as the new high bit.
+fn shr1(a: &mut [u64], top: bool) {
+    let mut carry = top as u64;
+    for x in a.iter_mut().rev() {
+        let low = *x & 1;
+        *x = (*x >> 1) | (carry << 63);
+        carry = low;
+    }
+}
+
+/// `x = x / 2 mod m` for odd `m` and `x < m`: `x/2` if even, else
+/// `(x + m)/2`, whose carry bit shifts back in from the top.
+fn half_mod(x: &mut [u64], m: &[u64]) {
+    let carry = x[0] & 1 == 1 && add_assign(x, m);
+    shr1(x, carry);
+}
+
+/// `x = (x - y) mod m` for `x, y < m`.
+fn sub_mod(x: &mut [u64], y: &[u64], m: &[u64]) {
+    if sub_assign(x, y) {
+        add_assign(x, m);
     }
 }
 
@@ -747,6 +977,129 @@ mod tests {
             let v = BigUint::random_exact_bits(&mut rng, bits);
             assert_eq!(v.bit_len(), bits, "bits={bits}");
         }
+    }
+
+    /// Test-only reference: right-to-left square-and-multiply over
+    /// `mul` + Knuth-D `rem`.
+    fn naive_mod_pow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let mut result = BigUint::one().rem(m);
+        let mut b = base.rem(m);
+        for i in 0..exp.bit_len() {
+            if exp.bit(i) {
+                result = result.mul(&b).rem(m);
+            }
+            b = b.mul(&b).rem(m);
+        }
+        result
+    }
+
+    /// Odd moduli of `limbs` limbs: random, a top limb of 1, all ones
+    /// (2^64k − 1), and 2^k − 1 with a short top limb.
+    fn odd_moduli(rng: &mut StdRng, limbs: usize) -> Vec<BigUint> {
+        let bits = 64 * limbs;
+        let random = BigUint::random_exact_bits(rng, bits).set_bit(0);
+        let small_top = BigUint::random_bits(rng, bits - 64)
+            .set_bit(bits - 64)
+            .set_bit(0);
+        let all_ones = BigUint::one().shl(bits).sub(&BigUint::one());
+        let short = BigUint::one().shl(bits - 7).sub(&BigUint::one());
+        let mut out = vec![random, small_top, all_ones, short];
+        // A single limb has no separate top limb: its "small top" is 1.
+        out.retain(|m| !m.is_one());
+        out
+    }
+
+    #[test]
+    fn montgomery_mod_pow_matches_naive_reference() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for limbs in 1..=16usize {
+            for m in odd_moduli(&mut rng, limbs) {
+                let exps = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    big(65_537),
+                    BigUint::one().shl(32).sub(&BigUint::one()),
+                    BigUint::one().shl(33),
+                    BigUint::random_bits(&mut rng, 100),
+                    BigUint::random_exact_bits(&mut rng, 64 * limbs.min(4)),
+                ];
+                let bases = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    m.sub(&BigUint::one()),
+                    m.clone(),
+                    m.add(&BigUint::one()),
+                    BigUint::random_below(&mut rng, &m),
+                    BigUint::random_bits(&mut rng, 64 * limbs + 130),
+                ];
+                for e in &exps {
+                    for b in &bases {
+                        assert_eq!(
+                            b.mod_pow(e, &m),
+                            naive_mod_pow(b, e, &m),
+                            "limbs={limbs} m={m:?} b={b:?} e={e:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn montgomery_mul_mod_matches_plain() {
+        let mut rng = StdRng::seed_from_u64(22);
+        for limbs in 1..=16usize {
+            for m in odd_moduli(&mut rng, limbs) {
+                let ctx = Montgomery::new(&m);
+                for _ in 0..4 {
+                    let a = BigUint::random_bits(&mut rng, 64 * limbs + 70);
+                    let b = BigUint::random_below(&mut rng, &m);
+                    assert_eq!(ctx.mul_mod(&a, &b), a.mul_mod(&b, &m), "m={m:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn binary_inverse_matches_euclid_on_odd_moduli() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for limbs in 1..=16usize {
+            for m in odd_moduli(&mut rng, limbs) {
+                let mut values = vec![
+                    BigUint::zero(),
+                    BigUint::one(),
+                    m.clone(),
+                    m.sub(&BigUint::one()),
+                    m.add(&big(2)),
+                    BigUint::random_bits(&mut rng, 64 * limbs + 64),
+                ];
+                values.extend((0..6).map(|_| BigUint::random_below(&mut rng, &m)));
+                for a in &values {
+                    let inv = a.mod_inverse(&m);
+                    assert_eq!(inv, a.mod_inverse_euclid(&m), "m={m:?} a={a:?}");
+                    if let Some(inv) = inv {
+                        assert!(inv < m);
+                        assert!(a.mul_mod(&inv, &m).is_one());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn binary_inverse_none_on_shared_factor() {
+        let mut rng = StdRng::seed_from_u64(24);
+        for limbs in 1..=8usize {
+            // m = f·g with odd f > 1; any multiple of f has no inverse.
+            let f = BigUint::random_exact_bits(&mut rng, 32 * limbs).set_bit(0);
+            let g = BigUint::random_exact_bits(&mut rng, 32 * limbs).set_bit(0);
+            let m = f.mul(&g);
+            for a in [f.clone(), g.clone(), f.mul(&big(6)), f.mul(&g).mul(&big(5))] {
+                assert_eq!(a.mod_inverse(&m), None, "m={m:?} a={a:?}");
+            }
+        }
+        assert_eq!(big(21).mod_inverse(&big(35)), None);
+        assert_eq!(big(0).mod_inverse(&big(35)), None);
     }
 
     proptest! {

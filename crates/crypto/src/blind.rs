@@ -48,18 +48,18 @@ impl BlindingSession {
         public: &RsaPublicKey,
         message: &[u8],
     ) -> (BlindingSession, BlindedMessage) {
-        let h = BigUint::from_bytes_be(&sha256(message)).rem(&public.n);
+        let h = BigUint::from_bytes_be(&sha256(message)).rem(public.n());
         // Find r with gcd(r, n) = 1 and an inverse mod n.
         let (r, r_inv) = loop {
-            let r = BigUint::random_below(rng, &public.n);
+            let r = BigUint::random_below(rng, public.n());
             if r.is_zero() {
                 continue;
             }
-            if let Some(inv) = r.mod_inverse(&public.n) {
+            if let Some(inv) = r.mod_inverse(public.n()) {
                 break (r, inv);
             }
         };
-        let blinded = h.mul_mod(&public.apply(&r), &public.n);
+        let blinded = public.mul_mod(&h, &public.apply(&r));
         (
             BlindingSession { message: message.to_vec(), r_inv, public: public.clone() },
             BlindedMessage(blinded),
@@ -69,7 +69,7 @@ impl BlindingSession {
     /// Unblind the mint's signature; returns the ordinary RSA signature on
     /// the original message's digest, or an error if the mint cheated.
     pub fn unblind(self, blind_sig: &BlindSignature) -> orsp_types::Result<BigUint> {
-        let sig = blind_sig.0.mul_mod(&self.r_inv, &self.public.n);
+        let sig = self.public.mul_mod(&blind_sig.0, &self.r_inv);
         if self.public.verify_digest(&sha256(&self.message), &sig) {
             Ok(sig)
         } else {
@@ -88,8 +88,13 @@ impl BlindingSession {
 /// The mint's half: sign a blinded message with the private key. A thin
 /// wrapper so the mint's code never accidentally hashes or inspects the
 /// value (it *can't* learn anything, but the type makes intent explicit).
-pub fn sign_blinded(keypair: &RsaKeyPair, blinded: &BlindedMessage) -> BlindSignature {
-    BlindSignature(keypair.apply_private(&blinded.0))
+/// Fails, releasing nothing, when the signature fails its own check (see
+/// [`RsaKeyPair::apply_private`]).
+pub fn sign_blinded(
+    keypair: &RsaKeyPair,
+    blinded: &BlindedMessage,
+) -> orsp_types::Result<BlindSignature> {
+    keypair.apply_private(&blinded.0).map(BlindSignature)
 }
 
 /// Verify an unblinded token signature against the mint's public key.
@@ -114,7 +119,7 @@ mod tests {
         let (kp, mut rng) = setup(1);
         let msg = b"token-0001";
         let (session, blinded) = BlindingSession::blind(&mut rng, &kp.public, msg);
-        let blind_sig = sign_blinded(&kp, &blinded);
+        let blind_sig = sign_blinded(&kp, &blinded).unwrap();
         let sig = session.unblind(&blind_sig).expect("honest mint");
         assert!(verify_unblinded(&kp.public, msg, &sig));
     }
@@ -125,7 +130,7 @@ mod tests {
         // blind-to-blind (fresh r each time).
         let (kp, mut rng) = setup(2);
         let msg = b"token-0002";
-        let digest = BigUint::from_bytes_be(&sha256(msg)).rem(&kp.public.n);
+        let digest = BigUint::from_bytes_be(&sha256(msg)).rem(kp.public.n());
         let (_, b1) = BlindingSession::blind(&mut rng, &kp.public, msg);
         let (_, b2) = BlindingSession::blind(&mut rng, &kp.public, msg);
         assert_ne!(b1.0, digest);
@@ -146,7 +151,8 @@ mod tests {
     fn signature_does_not_transfer_between_messages() {
         let (kp, mut rng) = setup(4);
         let (session, blinded) = BlindingSession::blind(&mut rng, &kp.public, b"tok-A");
-        let sig = session.unblind(&sign_blinded(&kp, &blinded)).unwrap();
+        let blind_sig = sign_blinded(&kp, &blinded).unwrap();
+        let sig = session.unblind(&blind_sig).unwrap();
         assert!(verify_unblinded(&kp.public, b"tok-A", &sig));
         assert!(!verify_unblinded(&kp.public, b"tok-B", &sig));
     }
@@ -157,8 +163,9 @@ mod tests {
         let (kp, mut rng) = setup(5);
         let msg = b"token-direct";
         let (session, blinded) = BlindingSession::blind(&mut rng, &kp.public, msg);
-        let via_blind = session.unblind(&sign_blinded(&kp, &blinded)).unwrap();
-        let direct = kp.sign_digest(&sha256(msg));
+        let blind_sig = sign_blinded(&kp, &blinded).unwrap();
+        let via_blind = session.unblind(&blind_sig).unwrap();
+        let direct = kp.sign_digest(&sha256(msg)).unwrap();
         assert_eq!(via_blind, direct);
     }
 }

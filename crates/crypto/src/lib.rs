@@ -8,10 +8,12 @@
 //!   per-(user, entity) record IDs `hash(Ru, e)`;
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), used for keyed derivations;
 //! * [`bigint`] — an arbitrary-precision unsigned integer with the modular
-//!   arithmetic RSA needs;
+//!   arithmetic RSA needs (Montgomery multiplication and exponentiation
+//!   for odd moduli);
 //! * [`prime`] — Miller–Rabin primality testing and random prime
 //!   generation;
-//! * [`rsa`] — textbook RSA keypairs (sign / verify on digests);
+//! * [`rsa`] — textbook RSA keypairs (sign / verify on digests), signing
+//!   by CRT with a check of every signature before it is released;
 //! * [`blind`] — Chaum blind signatures \[CRYPTO '83\], the primitive the
 //!   paper cites for rate-limit tokens: the RSP signs a *blinded* token so
 //!   that issue and redemption are unlinkable;
@@ -23,9 +25,11 @@
 //!
 //! ## Security posture
 //!
-//! This is **simulation-grade** cryptography: key sizes default to 512-bit
-//! RSA so that experiments run quickly, there is no padding (signatures are
-//! over fixed-length digests), and no constant-time discipline. The
+//! This is **simulation-grade** cryptography: the served mint uses 256-bit
+//! RSA (`PipelineConfig::modulus_bits` in `orsp-core`) and experiment E6
+//! uses 512-bit keys, so that experiments run quickly; there is no padding
+//! (signatures are over fixed-length digests), and no constant-time
+//! discipline. The
 //! *protocol semantics* — blindness, unlinkability, unforgeability against
 //! the simulated adversary, double-spend detection — are real and are what
 //! the paper's design depends on; the parameters are not deployment-ready.

@@ -76,8 +76,14 @@ impl TokenMint {
         tokens_per_window: u32,
         window: SimDuration,
     ) -> Self {
+        let keypair = RsaKeyPair::generate(rng, modulus_bits);
+        Self::from_keypair(keypair, tokens_per_window, window)
+    }
+
+    /// Create a mint that signs with `keypair`.
+    pub fn from_keypair(keypair: RsaKeyPair, tokens_per_window: u32, window: SimDuration) -> Self {
         TokenMint {
-            keypair: Arc::new(RsaKeyPair::generate(rng, modulus_bits)),
+            keypair: Arc::new(keypair),
             tokens_per_window,
             window,
             issuance: HashMap::new(),
@@ -133,7 +139,7 @@ impl TokenMint {
         now: Timestamp,
     ) -> orsp_types::Result<crate::blind::BlindSignature> {
         self.authorize(device, now)?;
-        Ok(sign_blinded(&self.keypair, blinded))
+        sign_blinded(&self.keypair, blinded)
     }
 }
 
@@ -165,7 +171,7 @@ impl TokenIssuer for &Mutex<TokenMint> {
             mint.authorize(device, now)?;
             mint.keypair_handle()
         };
-        Ok(sign_blinded(&keypair, blinded))
+        sign_blinded(&keypair, blinded)
     }
 }
 
@@ -267,7 +273,7 @@ mod tests {
         let (mint, _, mut rng) = setup(3, 10);
         let forged = Token {
             message: [7u8; 32],
-            signature: BigUint::random_below(&mut rng, &mint.public_key().n),
+            signature: BigUint::random_below(&mut rng, mint.public_key().n()),
         };
         assert!(!verifies(&mint, &forged));
     }

@@ -164,6 +164,7 @@ struct RouterMetrics {
     rpc_catch_up_us: Histogram,
     mint_issued_total: Counter,
     mint_denied_total: Counter,
+    mint_sign_fault_total: Counter,
     ingest_accepted_total: Counter,
     ingest_bad_token_total: Counter,
     ingest_double_spend_total: Counter,
@@ -188,6 +189,7 @@ impl RouterMetrics {
             rpc_catch_up_us: obs.histogram("rpc_catch_up_us"),
             mint_issued_total: obs.counter("mint_issued_total"),
             mint_denied_total: obs.counter("mint_denied_total"),
+            mint_sign_fault_total: obs.counter("mint_sign_fault_total"),
             ingest_accepted_total: obs.counter("ingest_accepted_total"),
             ingest_bad_token_total: obs.counter("ingest_bad_token_total"),
             ingest_double_spend_total: obs.counter("ingest_double_spend_total"),
@@ -442,9 +444,19 @@ impl RspService {
                         }
                     }
                 };
-                let signature = sign_blinded(&keypair, &blinded);
-                self.metrics.mint_issued_total.inc();
-                Response::TokenIssued { signature }
+                match sign_blinded(&keypair, &blinded) {
+                    Ok(signature) => {
+                        self.metrics.mint_issued_total.inc();
+                        Response::TokenIssued { signature }
+                    }
+                    // The signature failed its own check: a faulty CRT
+                    // half, whose output would leak a factor of n.
+                    // Nothing is released; the device's budget stays spent.
+                    Err(e) => {
+                        self.metrics.mint_sign_fault_total.inc();
+                        Response::Error { detail: e.to_string() }
+                    }
+                }
             }
             Request::Upload { upload, now: _ } => {
                 // A demoted range refuses writes *before* the token is
@@ -682,6 +694,37 @@ mod tests {
     fn ping_pong() {
         let svc = service(4);
         assert_eq!(svc.handle(Request::Ping), Response::Pong);
+    }
+
+    #[test]
+    fn crt_sign_fault_fails_closed() {
+        let mut rng = rng_for(7, "router-test");
+        let mut keypair = orsp_crypto::RsaKeyPair::generate(&mut rng, 256);
+        keypair.inject_crt_fault();
+        let svc = RspService::new(
+            TokenMint::from_keypair(keypair, 4, SimDuration::DAY),
+            SearchIndex::build(Vec::new()),
+            HashMap::new(),
+            Ranker::default(),
+            ServiceConfig::default(),
+        );
+        let public = svc.mint_public_key();
+        let mut client_rng = rng_for(8, "router-test-client");
+        let (_, blinded) = BlindingSession::blind(&mut client_rng, &public, b"token");
+        let response = svc.handle(Request::IssueToken {
+            device: DeviceId::new(1),
+            blinded,
+            now: Timestamp::EPOCH,
+        });
+        assert!(
+            matches!(&response, Response::Error { detail } if detail.contains("withheld")),
+            "no signature may leave a faulty mint: {response:?}"
+        );
+        let Response::Stats { snapshot } = svc.handle(Request::Stats) else {
+            panic!("stats");
+        };
+        assert_eq!(snapshot.counter("mint_sign_fault_total"), Some(1));
+        assert_eq!(snapshot.counter("mint_issued_total").unwrap_or(0), 0);
     }
 
     #[test]

@@ -10,6 +10,12 @@ RUSTFLAGS="-D warnings" cargo build --workspace --release
 echo "== cargo test -q =="
 cargo test -q --workspace
 
+echo "== crypto suites optimised (Montgomery/CRT differential tests, pinned keygen, fault check) =="
+cargo test -q --release -p orsp-crypto
+
+echo "== E6 blind tokens (asserts 400/400 replays rejected, 0/200 forgeries accepted, exactly 5/100 granted under a 5/day limit) =="
+cargo run -q --release -p orsp-bench --bin e6_tokens
+
 echo "== benchmark package builds and passes its tests (rspbench/ is its own workspace, outside --workspace) =="
 cargo test -q --release --offline --manifest-path rspbench/Cargo.toml
 
